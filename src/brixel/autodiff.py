@@ -3,9 +3,8 @@
 The op set is the minimum closed over the backbone, the refiner/head and the
 three distillation losses: elementwise arithmetic, (broadcasting) matmul,
 2-d convolution with padding helpers, pooling/upsampling/pixel-shuffle,
-reductions, and the usual nonlinearities. Composite ops (softmax, layer_norm,
-gelu, linear resize) are built from the primitives so their gradients come
-for free.
+reductions, and the usual nonlinearities. Composite ops (softmax,
+layer_norm) are built from the primitives so their gradients come for free.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call. Values are
@@ -71,22 +70,15 @@ class Tape:
 
 
 class Node:
-    """One value in the computation graph.
+    """One value in the computation graph."""
 
-    ``detached`` nodes carry a value but propagate no gradient to whatever
-    produced them.
-    """
+    __slots__ = ("value", "requires_grad", "parents", "grad")
 
-    __slots__ = ("value", "requires_grad", "parents", "detached", "grad", "name")
-
-    def __init__(self, value: np.ndarray, requires_grad: bool = False,
-                 parents=(), detached: bool = False, name: str | None = None):
+    def __init__(self, value: np.ndarray, requires_grad: bool = False, parents=()):
         self.value = value
         self.requires_grad = requires_grad
         self.parents = parents
-        self.detached = detached
         self.grad: np.ndarray | None = None
-        self.name = name
 
     def __repr__(self):
         return f"<Node shape={self.value.shape} dtype={self.value.dtype} rg={self.requires_grad}>"
@@ -170,15 +162,14 @@ def constant(value, dtype=None) -> Node:
     return Node(arr)
 
 
-def parameter(value: np.ndarray, name: str | None = None) -> Node:
+def parameter(value: np.ndarray) -> Node:
     """Wrap an array as a trainable leaf; gradients accumulate in ``.grad``."""
-    return Node(np.asarray(value), requires_grad=True, name=name)
+    return Node(np.asarray(value), requires_grad=True)
 
 
 def detach(x: Node) -> Node:
     """Same value, gradient flow severed."""
-    x = as_node(x)
-    return Node(x.value, requires_grad=False, parents=(), detached=True)
+    return Node(as_node(x).value)
 
 
 def as_node(x, like: Node | None = None) -> Node:
@@ -475,7 +466,7 @@ def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, ho: int, w
     return dx
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, pad_mode: str = "zero") -> Node:
+def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     """2-d convolution (cross-correlation), input (N,Cin,H,W), weight (Cout,Cin,kh,kw)."""
     x = as_node(x)
     w = as_node(w)
@@ -485,7 +476,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0, pad_mode: str = "zer
         raise ValueError(
             f"conv2d channel mismatch: input {x.value.shape[1]} vs weight {w.value.shape[1]}")
     if padding:
-        x = pad2d(x, padding, pad_mode)
+        x = pad2d(x, padding)
     cout, cin, kh, kw = w.value.shape
     if x.value.shape[-2] < kh or x.value.shape[-1] < kw:
         raise ValueError(f"conv2d input {x.value.shape} smaller than kernel ({kh}x{kw})")
@@ -599,27 +590,6 @@ def gelu(x) -> Node:
         return g * (0.5 * (1.0 + th) + 0.5 * v * sech2 * d_inner)
 
     return _record(out.astype(v.dtype, copy=False), [(x, vjp)])
-
-
-def resize_linear(x, out_h: int, out_w: int, antialias: bool = False) -> Node:
-    """Differentiable separable resize of the last two axes.
-
-    Uses the same resampling matrices as the image path, so values agree
-    bit-for-bit with the non-differentiable resize.
-    """
-    from .tensors import resize_matrix  # local import to keep modules decoupled
-
-    x = as_node(x)
-    h, w = x.value.shape[-2], x.value.shape[-1]
-    dtype = x.value.dtype
-    out = x
-    if h != out_h:
-        wy = constant(resize_matrix(h, out_h, antialias, dtype=dtype))
-        out = matmul(wy, out)
-    if w != out_w:
-        wx = constant(resize_matrix(w, out_w, antialias, dtype=dtype).T)
-        out = matmul(out, wx)
-    return out
 
 
 def global_grad_norm(grads) -> float:

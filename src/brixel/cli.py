@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import load_directory, synthetic_dataset, two_region_dataset
+from .data import load_directory, load_image, synthetic_dataset, two_region_dataset
 from .errors import ConfigError, DataIOError, NumericError
 from .evalbench import (
     cost_svg,
@@ -30,8 +30,7 @@ from .evalbench import (
     pca_rgb,
     upsample_baseline,
 )
-from .imgio import image_to_rgb8, read_ppm, write_png, write_ppm
-from .losses import SpectralConfig, default_r0
+from .imgio import image_to_rgb8, write_png, write_ppm
 from .refiner import init_student, student_feature_map
 from .runconfig import RunConfig
 from .tensors import ImageTensor, TensorFormatError, resize_bilinear, save_tensor
@@ -52,14 +51,6 @@ def _load_dataset(spec: str, resolution: int, seed: int, count: int):
     if spec == "synthetic":
         return synthetic_dataset(count, resolution, seed)
     return load_directory(spec, resolution)
-
-
-def _crop_to_teacher(img: ImageTensor, resolution: int) -> ImageTensor:
-    side = min(img.h, img.w)
-    y0 = (img.h - side) // 2
-    x0 = (img.w - side) // 2
-    img = ImageTensor(np.ascontiguousarray(img.data[:, y0:y0 + side, x0:x0 + side]))
-    return resize_bilinear(img, resolution, resolution, antialias=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +162,7 @@ def cmd_eval(args) -> int:
     for sid, img in dataset:
         teacher = vit_forward(img, cfg.vit, backbone)
         s_fm, base_fm, _ = _student_and_baseline(img, cfg, student, backbone)
-        grid = teacher.grid
-        scfg = SpectralConfig(r0=d.r0 if d.r0 > 0 else default_r0(*grid), eps_log=d.eps_log)
+        scfg = d.spectral_config(*teacher.grid)
         fs = fidelity(s_fm, teacher, scfg)
         fb = fidelity(base_fm, teacher, scfg)
         vals = (fs.l1, fs.cosine, fs.spectrum_gap, fb.l1, fb.cosine, fb.spectrum_gap)
@@ -221,7 +211,7 @@ def cmd_viz(args) -> int:
     src = Path(args.image)
     if not src.exists():
         raise DataIOError(f"image not found: {src}")
-    img = _crop_to_teacher(read_ppm(src), d.teacher_resolution)
+    img = load_image(src, d.teacher_resolution)
 
     teacher = vit_forward(img, cfg.vit, backbone)
     s_fm, base_fm, low_fm = _student_and_baseline(img, cfg, student, backbone)

@@ -124,15 +124,18 @@ def two_region_dataset(count: int, resolution: int, seed: int
     return out
 
 
-def _center_crop_square(img: ImageTensor) -> ImageTensor:
+def load_image(path, resolution: int) -> ImageTensor:
+    """One PPM, center-cropped to a square and resized to ``resolution``."""
+    img = read_ppm(path)
     side = min(img.h, img.w)
     y0 = (img.h - side) // 2
     x0 = (img.w - side) // 2
-    return ImageTensor(np.ascontiguousarray(img.data[:, y0:y0 + side, x0:x0 + side]))
+    img = ImageTensor(np.ascontiguousarray(img.data[:, y0:y0 + side, x0:x0 + side]))
+    return resize_bilinear(img, resolution, resolution, antialias=True)
 
 
 def load_directory(path, resolution: int) -> list[tuple[str, ImageTensor]]:
-    """All *.ppm files under ``path``, center-cropped square and resized.
+    """All *.ppm files under ``path``, each loaded by :func:`load_image`.
 
     Decoding may run on BRIXEL_THREADS workers; results keep filename order.
     """
@@ -144,8 +147,7 @@ def load_directory(path, resolution: int) -> list[tuple[str, ImageTensor]]:
         raise DataIOError(f"no .ppm images in {root}")
 
     def decode(p: Path):
-        img = _center_crop_square(read_ppm(p))
-        return p.stem, resize_bilinear(img, resolution, resolution, antialias=True)
+        return p.stem, load_image(p, resolution)
 
     threads = worker_threads()
     if threads > 1:

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import SpectralConfig, default_r0, fit_pca, radial_spectrum
+from .params import ModelParams
 from .refiner import AdapterConfig
 from .tensors import FeatureMap, resize_plane
+from .training import adam_step, init_adam
 from .vit import POS_BASE_GRID, ViTConfig
 
 FLOPS_PER_MAC = 2
@@ -326,7 +328,8 @@ def _token_labels(mask: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
 
 def linear_probe_train(features: list[FeatureMap], masks: list[np.ndarray], classes: int,
                        lr: float = 1e-2, iters: int = 500, seed: int = 0) -> LinearProbe:
-    """Per-token softmax classifier trained with Adam (artifact hyperparameters)."""
+    """Per-token softmax classifier trained with ``training.adam_step``
+    (artifact hyperparameters)."""
     xs, ys = [], []
     for fm, mask in zip(features, masks):
         xs.append(fm.tokens().astype(np.float64))
@@ -335,32 +338,18 @@ def linear_probe_train(features: list[FeatureMap], masks: list[np.ndarray], clas
     y = np.concatenate(ys, axis=0)
     n, c = x.shape
     rng = np.random.default_rng(seed)
-    w = 0.01 * rng.standard_normal((c, classes))
-    b = np.zeros(classes)
+    params = ModelParams({"w": 0.01 * rng.standard_normal((c, classes)),
+                          "b": np.zeros(classes)}, trainable=True)
+    adam = init_adam(params)
     onehot = np.eye(classes)[y]
-    mw = np.zeros_like(w)
-    vw = np.zeros_like(w)
-    mb = np.zeros_like(b)
-    vb = np.zeros_like(b)
-    for t in range(1, iters + 1):
-        logits = x @ w + b
+    for _ in range(iters):
+        logits = x @ params["w"] + params["b"]
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         glogits = (p - onehot) / n
-        gw = x.T @ glogits
-        gb = glogits.sum(axis=0)
-        for g, m_, v_, target in ((gw, mw, vw, "w"), (gb, mb, vb, "b")):
-            m_ *= 0.9
-            m_ += 0.1 * g
-            v_ *= 0.999
-            v_ += 0.001 * g * g
-            step = lr * (m_ / (1 - 0.9 ** t)) / (np.sqrt(v_ / (1 - 0.999 ** t)) + 1e-8)
-            if target == "w":
-                w = w - step
-            else:
-                b = b - step
-    return LinearProbe(weight=w, bias=b, classes=classes)
+        adam_step(params, {"w": x.T @ glogits, "b": glogits.sum(axis=0)}, adam, lr)
+    return LinearProbe(weight=params["w"], bias=params["b"], classes=classes)
 
 
 def probe_predict(fm: FeatureMap, probe: LinearProbe, out_hw: tuple[int, int]) -> np.ndarray:

@@ -153,7 +153,7 @@ def fit_pca(tokens, k: int) -> PcaProjection:
 def project(fm, p: PcaProjection) -> ad.Node:
     """Token-wise map t -> V_K^T (t - mu); output (K, H, W). No gradient
     reaches the projection itself."""
-    x = fm if isinstance(fm, ad.Node) else _as_student_node(fm)
+    x = _as_student_node(fm)
     if x.value.ndim != 3:
         raise ValueError(f"feature map must be (C, H, W), got {x.value.shape}")
     c, h, w = x.value.shape
@@ -172,7 +172,7 @@ def project(fm, p: PcaProjection) -> ad.Node:
 
 def sobel(fm) -> tuple[ad.Node, ad.Node]:
     """Channel-wise 3x3 Sobel responses with replicate padding (same size)."""
-    x = fm if isinstance(fm, ad.Node) else _as_student_node(fm)
+    x = _as_student_node(fm)
     c, h, w = x.value.shape
     if h < 3 or w < 3:
         raise ValueError(f"grid {(h, w)} too small for a 3x3 Sobel window")
@@ -249,7 +249,7 @@ def radial_spectrum(fm, cfg: SpectralConfig | None = None) -> ad.Node:
     over channels, then averaged within integer-radius annuli of centered
     frequencies.
     """
-    x = fm if isinstance(fm, ad.Node) else _as_student_node(fm)
+    x = _as_student_node(fm)
     if x.value.ndim != 3:
         raise ValueError(f"feature map must be (C, H, W), got {x.value.shape}")
     c, h, w = x.value.shape

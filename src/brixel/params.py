@@ -50,7 +50,7 @@ class ModelParams:
     def as_nodes(self) -> dict[str, ad.Node]:
         """Lift to graph leaves: parameters if trainable, constants otherwise."""
         if self.trainable:
-            return {k: ad.parameter(v, name=k) for k, v in self.tensors.items()}
+            return {k: ad.parameter(v) for k, v in self.tensors.items()}
         return {k: ad.constant(v) for k, v in self.tensors.items()}
 
     def copy(self) -> "ModelParams":

@@ -172,9 +172,6 @@ def student_forward(img_low: ImageTensor, vit_cfg: ViTConfig, adapter_cfg: Adapt
     the refiner/head parameters.
     """
     bb = vit_forward(img_low, vit_cfg, frozen_w)
-    expected = (img_low.h // vit_cfg.patch_size, img_low.w // vit_cfg.patch_size)
-    if bb.grid != expected:
-        raise ValueError(f"backbone grid {bb.grid} != expected {expected}")
     pyramid = adapter_forward(img_low, adapter_cfg, params)
     return head_forward(bb, pyramid, adapter_cfg, params)
 

@@ -97,8 +97,3 @@ class RunConfig:
                 value = ",".join(str(v) for v in value)
             lines.append(f"{key}={value}")
         return "\n".join(lines) + "\n"
-
-
-def load_resolved(path) -> RunConfig:
-    """Reload the exact configuration stored with a run artifact."""
-    return RunConfig.from_file(path)

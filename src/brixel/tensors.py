@@ -37,12 +37,6 @@ def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     return arr
 
 
-def as_f(arr, dtype=F32) -> np.ndarray:
-    """Coerce to a contiguous float array of the requested dtype."""
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    return out
-
-
 @dataclass(frozen=True)
 class ImageTensor:
     """An RGB image: (3, h, w) float array with pixel values in [0, 1]."""
@@ -145,7 +139,7 @@ def _resize_matrix_cached(n_in: int, n_out: int, antialias: bool, dtype_name: st
 
 
 def resize_matrix(n_in: int, n_out: int, antialias: bool, dtype=F64) -> np.ndarray:
-    """1D resampling matrix used by both the image path and the diff engine.
+    """1D resampling matrix behind every image and feature-map resize.
 
     Antialiased downsampling uses area weights; everything else plain
     bilinear. Rows always sum to 1, so constants are preserved exactly.

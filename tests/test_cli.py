@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from brixel.cli import main
-from brixel.imgio import read_ppm, write_ppm
+from brixel.data import load_directory
+from brixel.imgio import image_to_rgb8, read_ppm, write_ppm
 from brixel.tensors import load_tensor
 
 TINY_CONFIG = """\
@@ -197,6 +198,21 @@ def test_viz_panels_follow_4x_protocol(tmp_path, trained):
     assert teacher.data.shape == (3, 16, 16)       # 128 / p
     assert student.data.shape == (3, 16, 16)       # same grid as teacher
     assert baseline.data.shape == (3, 4, 4)        # quarter grid (4x protocol)
+
+
+def test_viz_input_panel_matches_directory_loader(tmp_path, trained):
+    rng = np.random.default_rng(2)
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ppm(data / "wide.ppm", rng.integers(0, 256, size=(40, 50, 3), dtype=np.uint8))
+    out = tmp_path / "viz"
+    assert main(["viz", "--checkpoint", str(trained / "checkpoints" / "latest"),
+                 "--image", str(data / "wide.ppm"), "--out", str(out)]) == 0
+    (sid, img), = load_directory(data, 128)  # the run's teacher resolution
+    assert sid == "wide"
+    write_ppm(tmp_path / "expected.ppm", image_to_rgb8(img))
+    assert ((out / "panels" / "wide_input.ppm").read_bytes()
+            == (tmp_path / "expected.ppm").read_bytes())
 
 
 def test_viz_deterministic_bytes_and_png(tmp_path, trained):
