@@ -1,10 +1,11 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
-The op set is the minimum closed over the backbone, the refiner/head and the
-three distillation losses: elementwise arithmetic, (broadcasting) matmul,
-2-d convolution with padding helpers, pooling/upsampling/pixel-shuffle,
-reductions, and the usual nonlinearities. Composite ops (softmax,
-layer_norm) are built from the primitives so their gradients come for free.
+The op set is the minimum closed over the refiner/head and the three
+distillation losses (the frozen ViT runs tape-free, in plain numpy):
+elementwise arithmetic, (broadcasting) matmul, 2-d convolution with padding
+helpers, pooling/upsampling/pixel-shuffle, reductions, and the usual
+nonlinearities. Composite ops (softmax, layer_norm) are built from the
+primitives so their gradients come for free.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call. Values are
@@ -576,20 +577,24 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU of an array, and the tanh term its derivative reuses."""
+    th = np.tanh(_GELU_C * (v + 0.044715 * v * v * v))
+    return (0.5 * v * (1.0 + th)).astype(v.dtype, copy=False), th
+
+
 def gelu(x) -> Node:
     """Tanh-form gaussian error linear unit (primitive; analytic gradient)."""
     x = as_node(x)
     v = x.value
-    inner = _GELU_C * (v + 0.044715 * v * v * v)
-    th = np.tanh(inner)
-    out = 0.5 * v * (1.0 + th)
+    out, th = _gelu_parts(v)
 
     def vjp(g):
         sech2 = 1.0 - th * th
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v * v)
         return g * (0.5 * (1.0 + th) + 0.5 * v * sech2 * d_inner)
 
-    return _record(out.astype(v.dtype, copy=False), [(x, vjp)])
+    return _record(out, [(x, vjp)])
 
 
 def global_grad_norm(grads) -> float:

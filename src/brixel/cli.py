@@ -78,10 +78,11 @@ def cmd_distill(args) -> int:
     if args.resume:
         if not (ckpt_dir / "manifest.txt").exists():
             raise DataIOError(f"--resume requested but no checkpoint at {ckpt_dir}")
-        template = init_student(cfg.vit, cfg.adapter, seed=cfg.distill.seed + 1)
-        student, adam, start_iter = load_checkpoint(ckpt_dir, template)
-        run = TrainRun(student=student, backbone=init_backbone(cfg.vit, cfg.distill.seed),
-                       adam=adam, start_iter=start_iter)
+        saved, run = _load_run(ckpt_dir)
+        changed = [k for k, v in saved.as_dict().items()
+                   if k != "total_iters" and cfg.as_dict()[k] != v]
+        if changed:
+            raise ConfigError(f"--resume may change only total_iters, not {', '.join(changed)}")
     else:
         run = init_run(cfg.vit, cfg.adapter, cfg.distill)
 
@@ -127,7 +128,7 @@ def cmd_extract(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _load_run(ckpt_dir: Path):
+def _load_run(ckpt_dir: Path) -> tuple[RunConfig, TrainRun]:
     if not ckpt_dir.is_dir():
         raise DataIOError(f"checkpoint directory not found: {ckpt_dir}")
     cfg_path = ckpt_dir / "config.resolved"
@@ -135,9 +136,9 @@ def _load_run(ckpt_dir: Path):
         raise DataIOError(f"checkpoint is missing config.resolved: {ckpt_dir}")
     cfg = RunConfig.from_file(cfg_path)
     template = init_student(cfg.vit, cfg.adapter, seed=cfg.distill.seed + 1)
-    student, _, _ = load_checkpoint(ckpt_dir, template)
-    backbone = init_backbone(cfg.vit, cfg.distill.seed)
-    return cfg, student, backbone
+    student, adam, start_iter = load_checkpoint(ckpt_dir, template)
+    return cfg, TrainRun(student=student, backbone=init_backbone(cfg.vit, cfg.distill.seed),
+                         adam=adam, start_iter=start_iter)
 
 
 def _student_and_baseline(img, cfg, student, backbone):
@@ -151,7 +152,7 @@ def _student_and_baseline(img, cfg, student, backbone):
 
 
 def cmd_eval(args) -> int:
-    cfg, student, backbone = _load_run(Path(args.checkpoint))
+    cfg, run = _load_run(Path(args.checkpoint))
     d = cfg.distill
     dataset = _load_dataset(args.data, d.teacher_resolution, d.seed, d.dataset_size)
     out = Path(args.out)
@@ -160,8 +161,8 @@ def cmd_eval(args) -> int:
     rows = []
     agg = np.zeros(6)
     for sid, img in dataset:
-        teacher = vit_forward(img, cfg.vit, backbone)
-        s_fm, base_fm, _ = _student_and_baseline(img, cfg, student, backbone)
+        teacher = vit_forward(img, cfg.vit, run.backbone)
+        s_fm, base_fm, _ = _student_and_baseline(img, cfg, run.student, run.backbone)
         scfg = d.spectral_config(*teacher.grid)
         fs = fidelity(s_fm, teacher, scfg)
         fb = fidelity(base_fm, teacher, scfg)
@@ -175,7 +176,7 @@ def cmd_eval(args) -> int:
           f"vs baseline {agg[4]:.4f}")
 
     if args.probe:
-        miou_s, miou_b, acc_s, acc_b = _run_probe(cfg, student, backbone)
+        miou_s, miou_b, acc_s, acc_b = _run_probe(cfg, run.student, run.backbone)
         (out / "probe.tsv").write_text(
             "# columns: features\tmiou\tpixel_accuracy\n"
             f"student\t{miou_s:.6g}\t{acc_s:.6g}\n"
@@ -206,15 +207,15 @@ def _run_probe(cfg, student, backbone, count: int = 12):
 # ---------------------------------------------------------------------------
 
 def cmd_viz(args) -> int:
-    cfg, student, backbone = _load_run(Path(args.checkpoint))
+    cfg, run = _load_run(Path(args.checkpoint))
     d = cfg.distill
     src = Path(args.image)
     if not src.exists():
         raise DataIOError(f"image not found: {src}")
     img = load_image(src, d.teacher_resolution)
 
-    teacher = vit_forward(img, cfg.vit, backbone)
-    s_fm, base_fm, low_fm = _student_and_baseline(img, cfg, student, backbone)
+    teacher = vit_forward(img, cfg.vit, run.backbone)
+    s_fm, base_fm, low_fm = _student_and_baseline(img, cfg, run.student, run.backbone)
     panels = pca_rgb([teacher, low_fm, s_fm], reference=teacher)
 
     out = Path(args.out) / "panels"

@@ -68,6 +68,10 @@ class RunConfig:
             self.distill = DistillConfig(**values)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        side, patch_size = self.distill.student_resolution, self.vit.patch_size
+        if side % 16 or side % patch_size:  # adapter_forward needs sides divisible by 16
+            raise ConfigError(f"student_resolution={side} must be a multiple of 16 "
+                              f"and of {patch_size=}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -10,6 +10,9 @@ patch-embedding configuration used by diagnostics: no position embedding,
 no blocks, no final normalization.
 
 Distillation targets the post-final-normalization patch tokens.
+
+The forward is tape-free numpy in the ``autodiff`` ops' order and scalar casts
+(so bits match); attention softmaxes one head's (N, N) scores at a time, in place.
 """
 
 from __future__ import annotations
@@ -107,47 +110,53 @@ def interpolate_pos_embed(pos: np.ndarray, gh: int, gw: int) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(gh * gw, c))
 
 
-def _attention(x: ad.Node, w, pre: str, heads: int) -> ad.Node:
-    n, c = x.value.shape
+def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / np.sqrt(var + x.dtype.type(eps)) * g + b
+
+
+def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarray:
+    n, c = x.shape
     dh = c // heads
-    q = ad.matmul(x, w[pre + "attn.wq"]) + w[pre + "attn.bq"]
-    k = ad.matmul(x, w[pre + "attn.wk"]) + w[pre + "attn.bk"]
-    v = ad.matmul(x, w[pre + "attn.wv"]) + w[pre + "attn.bv"]
-    q = ad.transpose(ad.reshape(q, (n, heads, dh)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(k, (n, heads, dh)), (1, 2, 0))
-    v = ad.transpose(ad.reshape(v, (n, heads, dh)), (1, 0, 2))
-    scores = ad.matmul(q, k) * (1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)
-    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, c))
-    return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]
+    q, k, v = (np.ascontiguousarray((x @ w[pre + "attn.w" + s] + w[pre + "attn.b" + s])
+                                    .reshape(n, heads, dh).transpose(1, 0, 2)) for s in "qkv")
+    scores = np.empty((n, n), dtype=x.dtype)
+    out = np.empty((n, heads, dh), dtype=x.dtype)
+    for h in range(heads):
+        np.matmul(q[h], k[h].T, out=scores)
+        scores *= x.dtype.type(1.0 / np.sqrt(dh))
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        out[:, h] = scores @ v[h]
+    return out.reshape(n, c) @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
 
 
 def vit_tokens(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> ad.Node:
-    """Forward pass returning the (N, C) token node. Weights stay constants."""
+    """Forward pass returning the (N, C) tokens as a constant node."""
     p = cfg.patch_size
     if img.h % p or img.w % p:
         raise ValueError(f"image sides {(img.h, img.w)} not divisible by patch size {p}")
     if weights["patch_embed.w"].shape != (cfg.embed_dim, 3, p, p):
         raise ValueError("backbone weights do not match the configuration")
     gh, gw = img.h // p, img.w // p
-    w = {k: ad.constant(v) for k, v in weights.items()}
-
-    x = ad.conv2d(ad.constant(img.data[None].astype(weights["patch_embed.w"].dtype)),
-                  w["patch_embed.w"], w["patch_embed.b"], stride=p)
-    tokens = ad.transpose(ad.reshape(x, (cfg.embed_dim, gh * gw)), (1, 0))
-    if cfg.depth == 0:
-        return tokens
-
-    tokens = tokens + ad.constant(
-        interpolate_pos_embed(weights["pos_embed"], gh, gw))
-    for i in range(cfg.depth):
-        pre = f"blocks.{i}."
-        h = ad.layer_norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"])
-        tokens = tokens + _attention(h, w, pre, cfg.heads)
-        h = ad.layer_norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"])
-        h = ad.gelu(ad.matmul(h, w[pre + "mlp.w1"]) + w[pre + "mlp.b1"])
-        tokens = tokens + (ad.matmul(h, w[pre + "mlp.w2"]) + w[pre + "mlp.b2"])
-    return ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"])
+    w = weights
+    patches = img.data.astype(w["patch_embed.w"].dtype).reshape(3, gh, p, gw, p)
+    cols = patches.transpose(0, 2, 4, 1, 3).reshape(3 * p * p, gh * gw)
+    x = w["patch_embed.w"].reshape(cfg.embed_dim, -1) @ cols + w["patch_embed.b"][:, None]
+    tokens = np.ascontiguousarray(x.T)
+    if cfg.depth > 0:
+        tokens = tokens + interpolate_pos_embed(w["pos_embed"], gh, gw)
+        for i in range(cfg.depth):
+            pre = f"blocks.{i}."
+            h = _layer_norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"])
+            tokens = tokens + _attention(h, w, pre, cfg.heads)
+            h = _layer_norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"])
+            h = ad._gelu_parts(h @ w[pre + "mlp.w1"] + w[pre + "mlp.b1"])[0]
+            tokens = tokens + (h @ w[pre + "mlp.w2"] + w[pre + "mlp.b2"])
+        tokens = _layer_norm(tokens, w["final_norm.g"], w["final_norm.b"])
+    return ad.constant(tokens)
 
 
 def vit_forward(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> FeatureMap:

@@ -1,12 +1,18 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately written as slow, obvious loops (or closed
-forms) that do not touch the library's own computational paths.
+forms) that do not touch the library's own computational paths. The one
+exception, ``autodiff_vit_tokens``, builds the frozen ViT forward from
+``brixel.autodiff`` ops, one graph node per op, as the reference the
+tape-free numpy forward in ``brixel.vit`` must match bit for bit.
 """
 
 import cmath
 
 import numpy as np
+
+from brixel import autodiff as ad
+from brixel.vit import interpolate_pos_embed
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -136,3 +142,38 @@ def loop_miou_pixacc(pred: np.ndarray, truth: np.ndarray, classes: int):
             continue
         ious.append(tp[k] / (tp[k] + fp[k] + fn[k]))
     return float(np.mean(ious)), correct / (h * w)
+
+
+def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
+    """(N, C) backbone tokens of ``img`` from the autodiff op graph."""
+    def attention(x, w, pre, heads):
+        n, c = x.value.shape
+        dh = c // heads
+        q = ad.matmul(x, w[pre + "attn.wq"]) + w[pre + "attn.bq"]
+        k = ad.matmul(x, w[pre + "attn.wk"]) + w[pre + "attn.bk"]
+        v = ad.matmul(x, w[pre + "attn.wv"]) + w[pre + "attn.bv"]
+        q = ad.transpose(ad.reshape(q, (n, heads, dh)), (1, 0, 2))
+        k = ad.transpose(ad.reshape(k, (n, heads, dh)), (1, 2, 0))
+        v = ad.transpose(ad.reshape(v, (n, heads, dh)), (1, 0, 2))
+        scores = ad.matmul(q, k) * (1.0 / np.sqrt(dh))
+        attn = ad.softmax(scores, axis=-1)
+        out = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, c))
+        return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]
+
+    p = cfg.patch_size
+    gh, gw = img.h // p, img.w // p
+    w = {k: ad.constant(v) for k, v in weights.items()}
+    x = ad.conv2d(ad.constant(img.data[None].astype(weights["patch_embed.w"].dtype)),
+                  w["patch_embed.w"], w["patch_embed.b"], stride=p)
+    tokens = ad.transpose(ad.reshape(x, (cfg.embed_dim, gh * gw)), (1, 0))
+    if cfg.depth == 0:
+        return tokens.value
+    tokens = tokens + ad.constant(interpolate_pos_embed(weights["pos_embed"], gh, gw))
+    for i in range(cfg.depth):
+        pre = f"blocks.{i}."
+        h = ad.layer_norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"])
+        tokens = tokens + attention(h, w, pre, cfg.heads)
+        h = ad.layer_norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"])
+        h = ad.gelu(ad.matmul(h, w[pre + "mlp.w1"]) + w[pre + "mlp.b1"])
+        tokens = tokens + (ad.matmul(h, w[pre + "mlp.w2"]) + w[pre + "mlp.b2"])
+    return ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"]).value

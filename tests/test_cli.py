@@ -80,6 +80,17 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "foo" in capsys.readouterr().err
 
 
+def test_student_resolution_off_the_adapter_grid_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("student_resolution=32", "student_resolution=24"))
+    code = main(["distill", "--config", str(bad), "--data", "synthetic",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "student_resolution" in err
+    assert "Traceback" not in err
+
+
 def test_unreadable_data_exit_3(tmp_path, cfg_file):
     code = main(["distill", "--config", str(cfg_file), "--data",
                  str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
@@ -114,6 +125,21 @@ def test_resume_continues_numbering(tmp_path, cfg_file):
         fa, fb = a.split("\t"), b.split("\t")
         assert fa[0] == fb[0]
         assert float(fa[5]) == pytest.approx(float(fb[5]), abs=1e-6)  # total column
+
+
+def test_resume_with_changed_experiment_exit_2(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out)]) == 0
+    saved = (out / "checkpoints" / "latest" / "config.resolved").read_bytes()
+    hot = tmp_path / "hot.cfg"
+    hot.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=8") + "lr=5\n")
+    code = main(["distill", "--config", str(hot), "--data", "synthetic",
+                 "--out", str(out), "--resume"])
+    assert code == 2
+    assert "lr" in capsys.readouterr().err
+    assert (out / "checkpoints" / "latest" / "config.resolved").read_bytes() == saved
+    assert len(read_metrics(out)) == 4
 
 
 def test_resume_without_checkpoint_exit_3(tmp_path, cfg_file):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from brixel import autodiff as ad
 from brixel.errors import DataIOError
 from brixel.tensors import F32, ImageTensor, save_tensor
 from brixel.vit import (
@@ -11,7 +12,9 @@ from brixel.vit import (
     interpolate_pos_embed,
     teacher_features,
     vit_forward,
+    vit_tokens,
 )
+from oracles import autodiff_vit_tokens
 
 
 def rand_image(rng, h, w):
@@ -92,6 +95,32 @@ def test_forward_reproducible_and_shared_code_path():
     f1 = vit_forward(img, TINY, w)
     f2 = vit_forward(img, TINY, w)
     assert f1.data.tobytes() == f2.data.tobytes()
+
+
+DESK = ViTConfig()
+
+
+@pytest.mark.parametrize("cfg,h,w", [
+    (DESK, 64, 64),
+    (DESK, 256, 256),
+    (TINY, 64, 64),
+    (EMBED_ONLY16, 64, 64),
+    (DESK, 64, 128),
+], ids=["desk-64", "desk-256", "tiny", "depth0", "desk-64x128"])
+def test_forward_bits_match_autodiff_oracle(cfg, h, w):
+    weights = init_backbone(cfg, seed=5)
+    img = rand_image(np.random.default_rng(h + w), h, w)
+    tokens = vit_tokens(img, cfg, weights).value
+    assert np.array_equal(tokens, autodiff_vit_tokens(img, cfg, weights))
+
+
+def test_forward_under_tape_records_nothing_and_keeps_weights():
+    weights = init_backbone(TINY, seed=2)
+    before = weights.content_hash()
+    with ad.Tape() as tape:
+        vit_forward(rand_image(np.random.default_rng(3), 64, 64), TINY, weights)
+    assert tape.nodes == []
+    assert weights.content_hash() == before
 
 
 def test_pos_embed_interpolation_identity_at_base_grid():
