@@ -3,9 +3,10 @@
 The op set is the minimum closed over the refiner/head and the three
 distillation losses (the frozen ViT runs tape-free, in plain numpy):
 elementwise arithmetic, (broadcasting) matmul, 2-d convolution with padding
-helpers, pooling/upsampling/pixel-shuffle, reductions, and the usual
-nonlinearities. Composite ops (softmax, layer_norm) are built from the
-primitives so their gradients come for free.
+helpers, pooling/upsampling/pixel-shuffle, sums, the amplitude of an
+orthonormal 2-d FFT, and the usual nonlinearities. Composite ops
+(reduce_mean, softmax, layer_norm) are built from the primitives so their
+gradients come for free.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call. Values are
@@ -388,20 +389,26 @@ def reduce_sum(a, axis=None, keepdims=False) -> Node:
 
 
 def reduce_mean(a, axis=None, keepdims=False) -> Node:
+    """Sum divided by the element count, the same two steps as ``np.mean``."""
     a = as_node(a)
-    out = a.value.mean(axis=axis, keepdims=keepdims)
-    count = a.value.size if axis is None else np.prod(
-        [a.value.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    total = reduce_sum(a, axis, keepdims)
+    return div(total, a.value.size // total.value.size)
+
+
+def fft_amplitude(x, eps: float) -> Node:
+    """sqrt(|F|^2 + eps) for the orthonormal 2-d DFT F over the last two axes.
+
+    F is unitary, so the gradient is the real part of the inverse transform
+    of F * g / amp.
+    """
+    x = as_node(x)
+    f = np.fft.fft2(x.value, norm="ortho")
+    amp = np.sqrt(f.real * f.real + f.imag * f.imag + eps)
 
     def vjp(g):
-        if axis is None:
-            gg = np.broadcast_to(g, a.value.shape)
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            gg = np.broadcast_to(gg, a.value.shape)
-        return (gg / count).astype(a.value.dtype, copy=False)
+        return np.fft.ifft2(f * (g / amp), norm="ortho").real.astype(x.value.dtype)
 
-    return _record(np.asarray(out), [(a, vjp)])
+    return _record(amp.astype(x.value.dtype), [(x, vjp)])
 
 
 # ---------------------------------------------------------------------------

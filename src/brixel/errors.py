@@ -1,7 +1,7 @@
 """Error taxonomy shared across modules; the CLI maps these to exit codes."""
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration (unknown key, bad value, inconsistent shapes). Exit 2."""
 
 

@@ -71,10 +71,8 @@ def fidelity(student_fm: FeatureMap, teacher_fm: FeatureMap,
 
 def upsample_baseline(fm: FeatureMap, factor: int) -> FeatureMap:
     """Plain bilinear upsampling of a feature map; the no-refiner baseline."""
-    c, h, w = fm.data.shape
-    out = np.stack([resize_plane(fm.data[ch], h * factor, w * factor, antialias=False)
-                    for ch in range(c)])
-    return FeatureMap(np.ascontiguousarray(out))
+    _, h, w = fm.data.shape
+    return FeatureMap(resize_plane(fm.data, h * factor, w * factor, antialias=False))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +354,8 @@ def probe_predict(fm: FeatureMap, probe: LinearProbe, out_hw: tuple[int, int]) -
     """Per-token logits, bilinearly upsampled to label resolution, argmaxed."""
     gh, gw = fm.grid
     logits = (fm.tokens().astype(np.float64) @ probe.weight + probe.bias)
-    planes = logits.reshape(gh, gw, probe.classes)
-    up = np.stack([resize_plane(planes[:, :, k], out_hw[0], out_hw[1], antialias=False)
-                   for k in range(probe.classes)], axis=-1)
-    return np.argmax(up, axis=-1)
+    planes = logits.reshape(gh, gw, probe.classes).transpose(2, 0, 1)
+    return np.argmax(resize_plane(planes, out_hw[0], out_hw[1], antialias=False), axis=0)
 
 
 def miou_pixacc(preds: list[np.ndarray], truths: list[np.ndarray], classes: int

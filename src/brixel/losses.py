@@ -6,7 +6,8 @@
   tokens (computed by SVD, never receiving gradients), and
 * a spectral loss comparing log radial amplitude spectra above a cutoff
   radius, so the student is pushed to reproduce the teacher's
-  high-frequency content.
+  high-frequency content. The 2-d amplitude spectrum is numpy's FFT behind
+  one autodiff op (``ad.fft_amplitude``) with an analytic gradient.
 
 All reductions are means over elements, which keeps the loss weights
 resolution-independent. Teacher inputs are always detached; gradients flow
@@ -201,14 +202,6 @@ def edge_loss(student, teacher, p: PcaProjection) -> ad.Node:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _dft_matrices(n: int, dtype_name: str):
-    idx = np.arange(n)
-    phase = 2.0 * np.pi * np.outer(idx, idx) / n
-    dt = np.dtype(dtype_name)
-    return np.cos(phase).astype(dt), np.sin(phase).astype(dt)
-
-
-@lru_cache(maxsize=32)
 def _radial_bins(h: int, w: int):
     """Integer bin per (u, v) frequency, -1 beyond r_max.
 
@@ -240,34 +233,21 @@ def _bin_average_matrix(h: int, w: int, dtype_name: str) -> np.ndarray:
     return mat.astype(np.dtype(dtype_name))
 
 
-def radial_spectrum(fm, cfg: SpectralConfig | None = None) -> ad.Node:
+def radial_spectrum(fm) -> ad.Node:
     """One-dimensional amplitude spectrum, shape (r_max + 1,).
 
-    Per channel, the 2-d DFT is evaluated as matrix products against fixed
-    cosine/sine matrices (so gradients fall out of the recorded ops),
-    amplitudes are normalized by sqrt(H*W) (unitary convention), averaged
-    over channels, then averaged within integer-radius annuli of centered
-    frequencies.
+    Per channel, the amplitude of the unitary 2-d DFT (normalized by
+    sqrt(H*W)) comes from one ``ad.fft_amplitude`` op with an analytic
+    gradient; amplitudes are averaged over channels, then averaged within
+    integer-radius annuli of centered frequencies.
     """
     x = _as_student_node(fm)
     if x.value.ndim != 3:
         raise ValueError(f"feature map must be (C, H, W), got {x.value.shape}")
-    c, h, w = x.value.shape
-    dtype = x.value.dtype
-    cy, sy = _dft_matrices(h, dtype.name)
-    cx, sx = _dft_matrices(w, dtype.name)
-    cy_n, sy_n = ad.constant(cy), ad.constant(sy)
-    cxt, sxt = ad.constant(cx.T.copy()), ad.constant(sx.T.copy())
-
-    cyx = ad.matmul(cy_n, x)
-    syx = ad.matmul(sy_n, x)
-    re = ad.sub(ad.matmul(cyx, cxt), ad.matmul(syx, sxt))
-    im = ad.neg(ad.add(ad.matmul(cyx, sxt), ad.matmul(syx, cxt)))
-    amp = ad.sqrt(ad.add(ad.add(ad.square(re), ad.square(im)), _AMP_EPS))
-    amp = ad.mul(amp, 1.0 / np.sqrt(h * w))
-
+    _, h, w = x.value.shape
+    amp = ad.fft_amplitude(x, _AMP_EPS)
     mean_amp = ad.reduce_mean(amp, axis=0)
-    binned = ad.matmul(ad.constant(_bin_average_matrix(h, w, dtype.name)),
+    binned = ad.matmul(ad.constant(_bin_average_matrix(h, w, x.value.dtype.name)),
                        ad.reshape(mean_amp, (h * w, 1)))
     return ad.reshape(binned, (binned.value.shape[0],))
 
@@ -281,8 +261,8 @@ def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
     r_max = r_max_for_grid(h, w)
     if cfg.r0 > r_max:
         raise ValueError(f"r0={cfg.r0} leaves no radii <= r_max={r_max}")
-    p_s = radial_spectrum(s, cfg)
-    p_t = radial_spectrum(t, cfg)
+    p_s = radial_spectrum(s)
+    p_t = radial_spectrum(t)
     n_bins = r_max + 1 - cfg.r0
     hi_s = ad.narrow(p_s, 0, cfg.r0, n_bins)
     hi_t = ad.narrow(p_t, 0, cfg.r0, n_bins)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError
-from .refiner import AdapterConfig
+from .refiner import PYRAMID_STRIDES, AdapterConfig
 from .training import DistillConfig
 from .vit import ViTConfig
 
@@ -72,6 +72,11 @@ class RunConfig:
         if side % 16 or side % patch_size:  # adapter_forward needs sides divisible by 16
             raise ConfigError(f"student_resolution={side} must be a multiple of 16 "
                               f"and of {patch_size=}")
+        grid = side // patch_size  # head_forward pools or repeats each level onto this grid
+        levels = [side // s for s in PYRAMID_STRIDES]
+        if any(max(n, grid) % min(n, grid) for n in levels):
+            raise ConfigError(f"student_resolution={side} with {patch_size=}: the backbone grid "
+                              f"{grid} and the pyramid levels {levels} must divide one another")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -150,11 +150,12 @@ def resize_matrix(n_in: int, n_out: int, antialias: bool, dtype=F64) -> np.ndarr
     return _resize_matrix_cached(n_in, n_out, antialias, np.dtype(dtype).name)
 
 
-def resize_plane(plane: np.ndarray, out_h: int, out_w: int, antialias: bool) -> np.ndarray:
-    """Resize a single (H, W) plane; separable row/column resampling."""
-    wy = resize_matrix(plane.shape[0], out_h, antialias, dtype=plane.dtype)
-    wx = resize_matrix(plane.shape[1], out_w, antialias, dtype=plane.dtype)
-    return wy @ plane @ wx.T
+def resize_plane(planes: np.ndarray, out_h: int, out_w: int, antialias: bool) -> np.ndarray:
+    """Resize the last two axes of an (..., H, W) stack of planes; separable
+    row/column resampling, broadcast over the leading axes."""
+    wy = resize_matrix(planes.shape[-2], out_h, antialias, dtype=planes.dtype)
+    wx = resize_matrix(planes.shape[-1], out_w, antialias, dtype=planes.dtype)
+    return wy @ planes @ wx.T
 
 
 def resize_bilinear(img: ImageTensor, out_h: int, out_w: int, antialias: bool = True) -> ImageTensor:
@@ -166,9 +167,7 @@ def resize_bilinear(img: ImageTensor, out_h: int, out_w: int, antialias: bool = 
     if out_h < 1 or out_w < 1:
         raise ValueError("target size must be >= 1 pixel")
     require_finite(img.data, "image")
-    out = np.empty((3, out_h, out_w), dtype=img.data.dtype)
-    for c in range(3):
-        out[c] = resize_plane(img.data[c], out_h, out_w, antialias)
+    out = resize_plane(img.data, out_h, out_w, antialias)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageTensor(require_finite(out, "resized image"))
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataIOError
+from .errors import ConfigError, DataIOError
 from .params import ModelParams
 from .tensors import F32, FeatureMap, ImageTensor, load_tensor, require_finite, resize_plane, tokens_to_grid
 
@@ -101,13 +101,9 @@ def init_backbone(cfg: ViTConfig, seed: int, dtype=F32) -> ModelParams:
 def interpolate_pos_embed(pos: np.ndarray, gh: int, gw: int) -> np.ndarray:
     """Resample (base, base, C) learned positions to the (gh*gw, C) token list."""
     base_h, base_w, c = pos.shape
-    if (base_h, base_w) == (gh, gw):
-        grid = pos
-    else:
-        grid = np.stack(
-            [resize_plane(pos[:, :, ch], gh, gw, antialias=False) for ch in range(c)],
-            axis=-1)
-    return np.ascontiguousarray(grid.reshape(gh * gw, c))
+    if (base_h, base_w) != (gh, gw):
+        pos = resize_plane(pos.transpose(2, 0, 1), gh, gw, antialias=False).transpose(1, 2, 0)
+    return np.ascontiguousarray(pos.reshape(gh * gw, c))
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -201,7 +197,7 @@ def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap
             raise DataIOError(f"missing teacher feature file: {path}")
         data = load_tensor(path)
         if tuple(data.shape) != tuple(src.expected_shape):
-            raise ValueError(
+            raise ConfigError(
                 f"teacher file {path} has shape {data.shape}, run config expects "
                 f"{tuple(src.expected_shape)}")
         return FeatureMap(data)

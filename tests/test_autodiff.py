@@ -243,6 +243,7 @@ def _op_factories():
         "pixel_shuffle": (lambda rng: (lambda x: ad.pixel_shuffle(x, 2)), (1, 4, 3, 3)),
         "sum_axis": (lambda rng: (lambda x: ad.reduce_sum(x, axis=1, keepdims=True)), (3, 4)),
         "mean_axis": (lambda rng: (lambda x: ad.reduce_mean(x, axis=0)), (3, 4)),
+        "fft_amplitude": (lambda rng: (lambda x: ad.fft_amplitude(x, 1e-24)), (2, 4, 6)),
     }
 
 

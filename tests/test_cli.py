@@ -91,6 +91,20 @@ def test_student_resolution_off_the_adapter_grid_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
+    # both sides are multiples of 16 and 12, but the 6x6 stride-8 level cannot
+    # be pooled or repeated onto the 4x4 backbone grid
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("patch_size=8", "patch_size=12")
+                   .replace("student_resolution=32", "student_resolution=48"))
+    code = main(["distill", "--config", str(bad), "--data", "synthetic",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "pyramid" in err
+    assert "Traceback" not in err
+
+
 def test_unreadable_data_exit_3(tmp_path, cfg_file):
     code = main(["distill", "--config", str(cfg_file), "--data",
                  str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
@@ -172,6 +186,21 @@ def test_extract_roundtrip_matches_live_first_step(tmp_path, cfg_file):
     b = read_metrics(file_out)[0].split("\t")
     for col in range(1, 7):
         assert float(a[col]) == pytest.approx(float(b[col]), abs=1e-6)
+
+
+def test_file_teacher_shape_mismatch_exit_2(tmp_path, cfg_file, capsys):
+    feats = tmp_path / "feats"
+    assert main(["extract", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(feats)]) == 0
+    narrow = tmp_path / "narrow.cfg"
+    narrow.write_text(TINY_CONFIG.replace("embed_dim=8", "embed_dim=4")
+                      + f"teacher_source=file:{feats}\n")
+    code = main(["distill", "--config", str(narrow), "--data", "synthetic",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "shape" in err
+    assert "Traceback" not in err
 
 
 def test_extract_empty_dir_exit_3(tmp_path, cfg_file):

@@ -42,6 +42,21 @@ def test_area_downsample_is_box_filter():
     assert np.allclose(out, [[0.5, 2.5]], atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [F32, F64])
+def test_resize_plane_stack_matches_per_plane_bits(dtype):
+    # a stack resamples every plane exactly as one call per plane does,
+    # including a channels-last array viewed channels-first
+    rng = np.random.default_rng(7)
+    stacks = [rng.random((2, 3, 12, 20)).astype(dtype),
+              rng.random((12, 20, 5)).astype(dtype).transpose(2, 0, 1)]
+    for stack in stacks:
+        for out_hw, antialias in (((6, 8), True), ((24, 40), False)):
+            out = resize_plane(stack, *out_hw, antialias=antialias)
+            planes = stack.reshape(-1, 12, 20)
+            loop = np.stack([resize_plane(p, *out_hw, antialias=antialias) for p in planes])
+            assert np.array_equal(out.reshape(loop.shape), loop)
+
+
 def test_up_then_down_roundtrip_close():
     rng = np.random.default_rng(0)
     for _ in range(50):
