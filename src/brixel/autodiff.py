@@ -4,15 +4,19 @@ The op set is the minimum closed over the refiner/head and the three
 distillation losses (the frozen ViT runs tape-free, in plain numpy):
 elementwise arithmetic, (broadcasting) matmul, 2-d convolution with padding
 helpers, pooling/upsampling/pixel-shuffle, sums, the amplitude of an
-orthonormal 2-d FFT, and the usual nonlinearities. Composite ops
+orthonormal real 2-d FFT, and the usual nonlinearities. Composite ops
 (reduce_mean, softmax, layer_norm) are built from the primitives so their
-gradients come for free.
+gradients come for free. ``conv2d`` pads inside the op and folds the batch
+into the GEMM column axis, so a batch costs one GEMM forward and one each
+for the weight and input gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
-rebuilt every step and consumed by a single ``backward`` call. Values are
-never mutated in place after recording, and gradient accumulation is plain
-summation, so two identical forward+backward passes produce bit-identical
-gradients in a single-threaded run.
+rebuilt every step and consumed by a single ``backward`` call, which frees
+each recorded node (its value, gradient and VJP closures, unless the caller
+still holds it) as soon as its gradients have been passed on. Only leaves
+keep a ``.grad``. Values are never mutated in place after recording, and
+gradient accumulation is plain summation, so two identical forward+backward
+passes produce bit-identical gradients in a single-threaded run.
 """
 
 from __future__ import annotations
@@ -51,7 +55,11 @@ class Tape:
         return False
 
     def backward(self, root: "Node") -> None:
-        """Accumulate gradients of a scalar root into every reachable leaf."""
+        """Accumulate gradients of a scalar root into every reachable leaf.
+
+        Each recorded node drops its ``.grad``, its parent links and the
+        tape's reference as soon as its VJPs have run.
+        """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward call")
         if root.value.size != 1:
@@ -60,21 +68,24 @@ class Tape:
         if not root.requires_grad:
             return
         root.grad = np.ones_like(root.value)
-        for node in reversed(self.nodes):
-            if node.grad is None:
+        nodes, self.nodes = self.nodes, []
+        while nodes:
+            node = nodes.pop()
+            grad, node.grad = node.grad, None
+            parents, node.parents = node.parents, ()
+            if grad is None:
                 continue
-            for parent, vjp in node.parents:
+            for parent, vjp in parents:
                 if not parent.requires_grad:
                     continue
-                g = vjp(node.grad)
+                g = vjp(grad)
                 parent.grad = g if parent.grad is None else parent.grad + g
-            node.parents = ()
 
 
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "requires_grad", "parents", "grad")
+    __slots__ = ("value", "requires_grad", "parents", "grad", "__weakref__")
 
     def __init__(self, value: np.ndarray, requires_grad: bool = False, parents=()):
         self.value = value
@@ -396,17 +407,22 @@ def reduce_mean(a, axis=None, keepdims=False) -> Node:
 
 
 def fft_amplitude(x, eps: float) -> Node:
-    """sqrt(|F|^2 + eps) for the orthonormal 2-d DFT F over the last two axes.
+    """sqrt(|F|^2 + eps) on the half-plane of the orthonormal real 2-d DFT F.
 
-    F is unitary, so the gradient is the real part of the inverse transform
-    of F * g / amp.
+    F is ``np.fft.rfft2`` over the last two axes: (..., H, W) -> (..., H,
+    W//2 + 1). For real input the dropped columns mirror the kept ones. The
+    gradient is the real inverse transform of F * g / amp; ``irfft2`` counts
+    each interior column twice (once for its mirror), so those are halved.
     """
     x = as_node(x)
-    f = np.fft.fft2(x.value, norm="ortho")
+    h, w = x.value.shape[-2:]
+    f = np.fft.rfft2(x.value, norm="ortho")
     amp = np.sqrt(f.real * f.real + f.imag * f.imag + eps)
 
     def vjp(g):
-        return np.fft.ifft2(f * (g / amp), norm="ortho").real.astype(x.value.dtype)
+        z = f * (g / amp)
+        z[..., 1:(w + 1) // 2] *= 0.5
+        return np.fft.irfft2(z, s=(h, w), norm="ortho").astype(x.value.dtype, copy=False)
 
     return _record(amp.astype(x.value.dtype), [(x, vjp)])
 
@@ -454,28 +470,37 @@ def pad2d(a, pad: int, mode: str = "zero") -> Node:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """(C*kh*kw, N*Ho*Wo) patch columns, the batch folded into the column axis."""
     n, c, h, w = x.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+            cols[:, i, j] = xc[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 
 def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, ho: int, wo: int):
+    """Scatter-add patch-column gradients back onto an (N, C, H, W) input."""
     n, c, h, w = xshape
-    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
-    dx = np.zeros(xshape, dtype=dcols.dtype)
+    dcols = dcols.reshape(c, kh, kw, n, ho, wo)
+    dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
-    return dx
+            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    return dx.transpose(1, 0, 2, 3)
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
-    """2-d convolution (cross-correlation), input (N,Cin,H,W), weight (Cout,Cin,kh,kw)."""
+    """2-d convolution (cross-correlation), input (N,Cin,H,W), weight (Cout,Cin,kh,kw).
+
+    Zero padding happens inside the op. The batch is folded into the GEMM
+    column axis: one (Cout, K) @ (K, N*Ho*Wo) product forward, and one each
+    for the weight and input gradients, so dW is summed over the batch
+    inside the GEMM.
+    """
     x = as_node(x)
     w = as_node(w)
     if x.value.ndim != 4 or w.value.ndim != 4:
@@ -483,34 +508,35 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     if x.value.shape[1] != w.value.shape[1]:
         raise ValueError(
             f"conv2d channel mismatch: input {x.value.shape[1]} vs weight {w.value.shape[1]}")
-    if padding:
-        x = pad2d(x, padding)
-    cout, cin, kh, kw = w.value.shape
-    if x.value.shape[-2] < kh or x.value.shape[-1] < kw:
-        raise ValueError(f"conv2d input {x.value.shape} smaller than kernel ({kh}x{kw})")
-    cols, ho, wo = _im2col(x.value, kh, kw, stride)
-    n = x.value.shape[0]
+    n, cin, h, wd = x.value.shape
+    cout, _, kh, kw = w.value.shape
+    p = padding
+    xp = np.pad(x.value, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.value
+    if xp.shape[-2] < kh or xp.shape[-1] < kw:
+        raise ValueError(f"conv2d input {xp.shape} smaller than kernel ({kh}x{kw})")
+    cols, ho, wo = _im2col(xp, kh, kw, stride)
     w_flat = w.value.reshape(cout, cin * kh * kw)
-    y = (w_flat @ cols).reshape(n, cout, ho, wo)
-
-    xshape = x.value.shape
-
-    def vjp_x(g):
-        gy = g.reshape(n, cout, ho * wo)
-        dcols = w_flat.T @ gy
-        return _col2im(dcols, xshape, kh, kw, stride, ho, wo)
-
-    def vjp_w(g):
-        gy = g.reshape(n, cout, ho * wo)
-        dw = (gy @ cols.swapaxes(1, 2)).sum(axis=0)
-        return dw.reshape(w.value.shape)
-
-    parents = [(x, vjp_x), (w, vjp_w)]
+    y = w_flat @ cols
     if b is not None:
         b = as_node(b)
         if b.value.shape != (cout,):
             raise ValueError(f"conv2d bias must have shape ({cout},), got {b.value.shape}")
-        y = y + b.value.reshape(1, cout, 1, 1)
+        y += b.value[:, None]
+    y = np.ascontiguousarray(y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
+    padded_shape = xp.shape
+
+    def g_cols(g):
+        return g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
+
+    def vjp_x(g):
+        dx = _col2im(w_flat.T @ g_cols(g), padded_shape, kh, kw, stride, ho, wo)
+        return np.ascontiguousarray(dx[:, :, p:p + h, p:p + wd])
+
+    def vjp_w(g):
+        return (g_cols(g) @ cols.T).reshape(w.value.shape)
+
+    parents = [(x, vjp_x), (w, vjp_w)]
+    if b is not None:
         parents.append((b, lambda g: g.sum(axis=(0, 2, 3))))
     return _record(y, parents)
 

@@ -35,6 +35,7 @@ from .refiner import init_student, student_feature_map
 from .runconfig import RunConfig
 from .tensors import ImageTensor, TensorFormatError, resize_bilinear, save_tensor
 from .training import (
+    METRICS_COLUMNS,
     TrainRun,
     init_run,
     load_checkpoint,
@@ -92,6 +93,8 @@ def cmd_distill(args) -> int:
         raise ConfigError(f"checkpoint is at iteration {run.start_iter}, beyond "
                           f"total_iters={cfg.distill.total_iters}")
 
+    if args.resume:
+        _truncate_metrics(out / "metrics.tsv", run.start_iter)
     with open(out / "metrics.tsv", "a") as log:
         def log_line(line: str):
             log.write(line + "\n")
@@ -104,6 +107,17 @@ def cmd_distill(args) -> int:
     (ckpt_dir / "config.resolved").write_text(cfg.resolved_text())
     print(f"trained to iteration {run.start_iter}; artifacts in {out}")
     return 0
+
+
+def _truncate_metrics(path: Path, start_iter: int) -> None:
+    """Keep only the complete rows of iterations before ``start_iter``, so
+    rows an interrupted leg logged past its checkpoint are not numbered twice."""
+    if not path.exists():
+        return
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    path.write_text("".join("\t".join(row) + "\n" for row in rows
+                            if len(row) == len(METRICS_COLUMNS) and row[0].isdigit()
+                            and int(row[0]) < start_iter))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@
   tokens (computed by SVD, never receiving gradients), and
 * a spectral loss comparing log radial amplitude spectra above a cutoff
   radius, so the student is pushed to reproduce the teacher's
-  high-frequency content. The 2-d amplitude spectrum is numpy's FFT behind
-  one autodiff op (``ad.fft_amplitude``) with an analytic gradient.
+  high-frequency content. The 2-d amplitude spectrum is numpy's real FFT
+  (the half-plane ``np.fft.rfft2`` keeps) behind one autodiff op
+  (``ad.fft_amplitude``) with an analytic gradient.
 
-All reductions are means over elements, which keeps the loss weights
-resolution-independent. Teacher inputs are always detached; gradients flow
-into the student map only.
+Every function takes one (C, H, W) map or a stack (N, C, H, W) of them and
+reduces over the last three axes: a stack gives per-sample values of shape
+(N,), bit-equal to calling the function once per map. All reductions are
+means over elements, which keeps the loss weights resolution-independent.
+Teacher inputs are always detached; gradients flow into the student map
+only.
 """
 
 from __future__ import annotations
@@ -100,16 +104,26 @@ def _check_same_shape(student: ad.Node, teacher: ad.Node):
             f"student/teacher shape mismatch: {student.value.shape} vs {teacher.value.shape}")
 
 
+def _check_maps(x: ad.Node):
+    if x.value.ndim not in (3, 4):
+        raise ValueError(f"feature map must be (C, H, W) or (N, C, H, W), got {x.value.shape}")
+
+
+# the per-map reduction: every element of each (C, H, W) map
+_MAP_AXES = (-3, -2, -1)
+
+
 # ---------------------------------------------------------------------------
 # L1
 # ---------------------------------------------------------------------------
 
 def l1_loss(student, teacher) -> ad.Node:
-    """Mean absolute difference over all C*H*W elements."""
+    """Mean absolute difference over all C*H*W elements of each map."""
     s = _as_student_node(student)
     t = _as_teacher_node(teacher)
     _check_same_shape(s, t)
-    return ad.reduce_mean(ad.absolute(ad.sub(t, s)))
+    _check_maps(s)
+    return ad.reduce_mean(ad.absolute(ad.sub(t, s)), axis=_MAP_AXES)
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +166,21 @@ def fit_pca(tokens, k: int) -> PcaProjection:
 
 
 def project(fm, p: PcaProjection) -> ad.Node:
-    """Token-wise map t -> V_K^T (t - mu); output (K, H, W). No gradient
+    """Token-wise map t -> V_K^T (t - mu); output (..., K, H, W). No gradient
     reaches the projection itself."""
     x = _as_student_node(fm)
-    if x.value.ndim != 3:
-        raise ValueError(f"feature map must be (C, H, W), got {x.value.shape}")
-    c, h, w = x.value.shape
+    _check_maps(x)
+    *lead, c, h, w = x.value.shape
     if c != p.basis.shape[0]:
         raise ValueError(f"map has {c} channels, projection expects {p.basis.shape[0]}")
     dtype = x.value.dtype
-    tokens = ad.reshape(ad.transpose(x, (1, 2, 0)), (h * w, c))
+    b = len(lead)
+    batch = tuple(range(b))
+    tokens = ad.reshape(ad.transpose(x, batch + (b + 1, b + 2, b)), (*lead, h * w, c))
     centered = ad.sub(tokens, ad.constant(p.mean.astype(dtype)))
+    # a stack runs as one (H*W, C) @ (C, K) product per map, as a single map does
     proj = ad.matmul(centered, ad.constant(p.basis.astype(dtype)))
-    return ad.transpose(ad.reshape(proj, (h, w, p.k)), (2, 0, 1))
+    return ad.transpose(ad.reshape(proj, (*lead, h, w, p.k)), batch + (b + 2, b, b + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +190,17 @@ def project(fm, p: PcaProjection) -> ad.Node:
 def sobel(fm) -> tuple[ad.Node, ad.Node]:
     """Channel-wise 3x3 Sobel responses with replicate padding (same size)."""
     x = _as_student_node(fm)
-    c, h, w = x.value.shape
+    _check_maps(x)
+    shape = x.value.shape
+    h, w = shape[-2:]
     if h < 3 or w < 3:
         raise ValueError(f"grid {(h, w)} too small for a 3x3 Sobel window")
     dtype = x.value.dtype
-    planes = ad.pad2d(ad.reshape(x, (c, 1, h, w)), 1, "replicate")
+    planes = ad.pad2d(ad.reshape(x, (-1, 1, h, w)), 1, "replicate")
     kx = ad.constant(SOBEL_X.reshape(1, 1, 3, 3).astype(dtype))
     ky = ad.constant(SOBEL_Y.reshape(1, 1, 3, 3).astype(dtype))
-    gx = ad.reshape(ad.conv2d(planes, kx), (c, h, w))
-    gy = ad.reshape(ad.conv2d(planes, ky), (c, h, w))
+    gx = ad.reshape(ad.conv2d(planes, kx), shape)
+    gy = ad.reshape(ad.conv2d(planes, ky), shape)
     return gx, gy
 
 
@@ -193,8 +211,8 @@ def edge_loss(student, teacher, p: PcaProjection) -> ad.Node:
     _check_same_shape(s, t)
     gx_s, gy_s = sobel(project(s, p))
     gx_t, gy_t = sobel(project(t, p))
-    return ad.add(ad.reduce_mean(ad.absolute(ad.sub(gx_t, gx_s))),
-                  ad.reduce_mean(ad.absolute(ad.sub(gy_t, gy_s))))
+    return ad.add(ad.reduce_mean(ad.absolute(ad.sub(gx_t, gx_s)), axis=_MAP_AXES),
+                  ad.reduce_mean(ad.absolute(ad.sub(gy_t, gy_s)), axis=_MAP_AXES))
 
 
 # ---------------------------------------------------------------------------
@@ -221,35 +239,46 @@ def _radial_bins(h: int, w: int):
 
 @lru_cache(maxsize=32)
 def _bin_average_matrix(h: int, w: int, dtype_name: str) -> np.ndarray:
-    """(r_max+1, H*W) matrix averaging a flattened amplitude map per radius."""
+    """(r_max+1, H*(W//2+1)) matrix averaging a flattened half-plane
+    amplitude map per radius.
+
+    The annulus averages run over the full (H, W) plane. A real map's
+    amplitude is point-symmetric, so each interior half-plane column stands
+    for itself and its mirror and is weighted twice; column 0 and, for even
+    W, the Nyquist column are their own mirrors and count once.
+    """
     bins, r_max = _radial_bins(h, w)
-    flat = bins.reshape(-1)
-    mat = np.zeros((r_max + 1, h * w), dtype=np.float64)
+    wh = w // 2 + 1
+    mult = np.ones(wh)
+    mult[1:(w + 1) // 2] = 2.0
+    half = bins[:, :wh]
+    mat = np.zeros((r_max + 1, h, wh), dtype=np.float64)
     for r in range(r_max + 1):
-        mask = flat == r
-        count = int(mask.sum())
+        count = int((bins == r).sum())
         if count:
-            mat[r, mask] = 1.0 / count
-    return mat.astype(np.dtype(dtype_name))
+            mat[r] = np.where(half == r, mult / count, 0.0)
+    return mat.reshape(r_max + 1, h * wh).astype(np.dtype(dtype_name))
 
 
 def radial_spectrum(fm) -> ad.Node:
-    """One-dimensional amplitude spectrum, shape (r_max + 1,).
+    """One-dimensional amplitude spectrum, shape (..., r_max + 1).
 
     Per channel, the amplitude of the unitary 2-d DFT (normalized by
-    sqrt(H*W)) comes from one ``ad.fft_amplitude`` op with an analytic
-    gradient; amplitudes are averaged over channels, then averaged within
-    integer-radius annuli of centered frequencies.
+    sqrt(H*W)) comes from one ``ad.fft_amplitude`` op on the real-FFT
+    half-plane with an analytic gradient; amplitudes are averaged over
+    channels, then averaged within integer-radius annuli of centered
+    frequencies.
     """
     x = _as_student_node(fm)
-    if x.value.ndim != 3:
-        raise ValueError(f"feature map must be (C, H, W), got {x.value.shape}")
-    _, h, w = x.value.shape
+    _check_maps(x)
+    *lead, _, h, w = x.value.shape
     amp = ad.fft_amplitude(x, _AMP_EPS)
-    mean_amp = ad.reduce_mean(amp, axis=0)
+    mean_amp = ad.reduce_mean(amp, axis=-3)
+    hw = mean_amp.value.shape[-2] * mean_amp.value.shape[-1]
+    # a stack runs as one matrix-vector product per map, as a single map does
     binned = ad.matmul(ad.constant(_bin_average_matrix(h, w, x.value.dtype.name)),
-                       ad.reshape(mean_amp, (h * w, 1)))
-    return ad.reshape(binned, (binned.value.shape[0],))
+                       ad.reshape(mean_amp, (*lead, hw, 1)))
+    return ad.reshape(binned, binned.value.shape[:-1])
 
 
 def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
@@ -257,17 +286,18 @@ def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
     s = _as_student_node(student)
     t = _as_teacher_node(teacher)
     _check_same_shape(s, t)
-    _, h, w = s.value.shape
+    _check_maps(s)
+    h, w = s.value.shape[-2:]
     r_max = r_max_for_grid(h, w)
     if cfg.r0 > r_max:
         raise ValueError(f"r0={cfg.r0} leaves no radii <= r_max={r_max}")
     p_s = radial_spectrum(s)
     p_t = radial_spectrum(t)
     n_bins = r_max + 1 - cfg.r0
-    hi_s = ad.narrow(p_s, 0, cfg.r0, n_bins)
-    hi_t = ad.narrow(p_t, 0, cfg.r0, n_bins)
+    hi_s = ad.narrow(p_s, -1, cfg.r0, n_bins)
+    hi_t = ad.narrow(p_t, -1, cfg.r0, n_bins)
     diff = ad.sub(ad.log(ad.add(hi_t, cfg.eps_log)), ad.log(ad.add(hi_s, cfg.eps_log)))
-    return ad.reduce_mean(ad.square(diff))
+    return ad.reduce_mean(ad.square(diff), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +306,8 @@ def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
 
 def loss_breakdown(student, teacher, p: PcaProjection, weights: LossWeights,
                    cfg: SpectralConfig) -> tuple[ad.Node, dict[str, ad.Node]]:
-    """Weighted total plus its three components (for logging)."""
+    """Weighted total plus its three components (for logging); each is a
+    scalar for one map and (N,) per-sample values for a stack."""
     parts = {
         "l1": l1_loss(student, teacher),
         "edge": edge_loss(student, teacher, p),

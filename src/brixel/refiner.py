@@ -12,6 +12,14 @@ Two pieces operate on the low-resolution image next to the frozen backbone:
 The global residual means a zero final projection reproduces the
 nearest-upsampled backbone map exactly; initialization scales the final
 projection by 0.01 so training starts near that baseline.
+
+``adapter_forward`` and ``head_forward`` take one image and one (C, H, W)
+backbone map, or a stack of N of each with a leading batch axis; training
+runs the whole batch as one graph. A single image is the N=1 case of the
+same code. Each sample of a stack matches its single-image output bit for
+bit wherever BLAS treats each sample's GEMM columns alike (every layer of
+the desk configuration); layers of a few pixels may use other small-size
+kernels and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -91,15 +99,19 @@ def _channel_norm(x: ad.Node, g: ad.Node, b: ad.Node) -> ad.Node:
     return ad.transpose(ad.layer_norm(xt, g, b), (0, 3, 1, 2))
 
 
-def adapter_forward(img_low: ImageTensor, cfg: AdapterConfig, params) -> list[ad.Node]:
-    """Image-branch pyramid. Level l has spatial size (h/s_l, w/s_l) for
-    strides 4/8/16 relative to the low-resolution image; the backbone output
-    plays no role here."""
-    if img_low.h % 16 or img_low.w % 16:
-        raise ValueError(f"adapter input sides {(img_low.h, img_low.w)} must be divisible by 16")
+def adapter_forward(img_low, cfg: AdapterConfig, params) -> list[ad.Node]:
+    """Image-branch pyramid over one ``ImageTensor`` or an (N, 3, h, w)
+    stack. Level l has spatial size (h/s_l, w/s_l) for strides 4/8/16
+    relative to the low-resolution image, with shape (C_l, ...) for one image
+    and (N, C_l, ...) for a stack; the backbone output plays no role here."""
+    data = img_low.data if isinstance(img_low, ImageTensor) else np.asarray(img_low)
+    h, wd = data.shape[-2:]
+    if h % 16 or wd % 16:
+        raise ValueError(f"adapter input sides {(h, wd)} must be divisible by 16")
     w = _as_node_dict(params)
     dtype = w["adapter.conv1.w"].value.dtype
-    x = ad.constant(img_low.data[None].astype(dtype))
+    stacked = data.ndim == 4
+    x = ad.constant((data if stacked else data[None]).astype(dtype))
     x = ad.gelu(ad.conv2d(x, w["adapter.conv1.w"], w["adapter.conv1.b"], stride=2, padding=1))
     x = ad.gelu(ad.conv2d(x, w["adapter.conv2.w"], w["adapter.conv2.b"], stride=2, padding=1))
     lvl4 = x
@@ -107,15 +119,16 @@ def adapter_forward(img_low: ImageTensor, cfg: AdapterConfig, params) -> list[ad
     lvl8 = x
     x = ad.gelu(ad.conv2d(x, w["adapter.conv4.w"], w["adapter.conv4.b"], stride=2, padding=1))
     lvl16 = x
+    if stacked:
+        return [lvl4, lvl8, lvl16]
     return [ad.reshape(l, l.value.shape[1:]) for l in (lvl4, lvl8, lvl16)]
 
 
-def _to_grid(level: ad.Node, grid: tuple[int, int]) -> ad.Node:
-    """Bring one (C, H, W) pyramid level to the fusion grid by integer
+def _to_grid(x: ad.Node, grid: tuple[int, int]) -> ad.Node:
+    """Bring one (N, C, H, W) pyramid level to the fusion grid by integer
     average-pooling or nearest upsampling."""
-    c, h, w = level.value.shape
+    h, w = x.value.shape[-2:]
     gh, gw = grid
-    x = ad.reshape(level, (1, c, h, w))
     if h == gh and w == gw:
         return x
     if h > gh:
@@ -131,19 +144,24 @@ def head_forward(backbone_fm, pyramid: list[ad.Node], cfg: AdapterConfig, params
     """Fuse frozen backbone tokens with the pyramid and emit the upscaled map.
 
     Output shape is (C, f*H, f*W) for a (C, H, W) backbone map and
-    upsample factor f; a constructed zero final projection bypasses the head
-    entirely, leaving nearest-upsampled backbone features.
+    upsample factor f, or (N, C, f*H, f*W) for an (N, C, H, W) stack with
+    (N, C_l, ...) pyramid levels; a constructed zero final projection
+    bypasses the head entirely, leaving nearest-upsampled backbone features.
     """
     w = _as_node_dict(params)
     if isinstance(backbone_fm, FeatureMap):
-        backbone_fm = ad.constant(backbone_fm.data)
-    if backbone_fm.value.ndim != 3:
-        raise ValueError(f"backbone map must be (C, H, W), got {backbone_fm.value.shape}")
-    c, gh, gw = backbone_fm.value.shape
+        backbone_fm = backbone_fm.data
+    bb = ad.as_node(backbone_fm)
+    if bb.value.ndim not in (3, 4):
+        raise ValueError(f"backbone map must be (C, H, W) or (N, C, H, W), got {bb.value.shape}")
+    c, gh, gw = bb.value.shape[-3:]
     if w["head.out.w"].value.shape[0] != c:
         raise ValueError(
             f"head emits {w['head.out.w'].value.shape[0]} channels, backbone has {c}")
-    bb = ad.reshape(backbone_fm, (1, c, gh, gw))
+    single = bb.value.ndim == 3
+    if single:
+        bb = ad.reshape(bb, (1, c, gh, gw))
+        pyramid = [ad.reshape(l, (1, *l.value.shape)) for l in pyramid]
     if bb.value.dtype != w["head.fuse.w"].value.dtype:
         bb = ad.constant(bb.value.astype(w["head.fuse.w"].value.dtype))
 
@@ -160,7 +178,7 @@ def head_forward(backbone_fm, pyramid: list[ad.Node], cfg: AdapterConfig, params
             ad.conv2d(h, w[f"head.up{j}.w"], w[f"head.up{j}.b"], padding=1), 2))
     delta = ad.conv2d(h, w["head.out.w"], w["head.out.b"])
     out = base + delta
-    return ad.reshape(out, out.value.shape[1:])
+    return ad.reshape(out, out.value.shape[1:]) if single else out
 
 
 def student_forward(img_low: ImageTensor, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,

@@ -1,10 +1,13 @@
 """The distillation driver.
 
-Per step: teacher features at high resolution (detached), the same images
-downsampled 4x per side for the student, a batch-pooled PCA of the teacher
-tokens, the weighted L1 + edge + spectral loss, one backward pass and an
-Adam update of the refiner/head parameters only. Backbone weights are never
-touched; a hash check pins that down in the tests.
+Per step: the frozen per-sample inputs (teacher features at high
+resolution, the image downsampled 4x per side, and the frozen backbone's map
+of that low-res image), computed once per sample id and cached; a
+batch-pooled PCA of the teacher tokens; one student graph over the whole
+batch, stacked along a leading axis, giving per-sample L1 + edge + spectral
+losses; one backward pass over their mean and an Adam update of the
+refiner/head parameters only. Backbone weights are never touched; a hash
+check pins that down in the tests.
 
 Batches and synthetic data are derived statelessly from (seed, iteration),
 so a paused-and-resumed run walks the same trajectory as an unpaused one.
@@ -12,23 +15,21 @@ so a paused-and-resumed run walks the same trajectory as an unpaused one.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import refiner
 from .errors import ConfigError, DataIOError, NumericError
 from .losses import LossWeights, SpectralConfig, default_r0, fit_pca, loss_breakdown
 from .params import ModelParams
-from .refiner import AdapterConfig, init_student
-from .tensors import FeatureMap, ImageTensor, load_tensor, resize_bilinear, save_tensor
-from .vit import FileTeacher, LiveTeacher, ViTConfig, init_backbone, teacher_features
-# not called here; perfbench/tracer.py patches these three names on this module
-from .refiner import adapter_forward, head_forward  # noqa: F401
-from .vit import vit_forward  # noqa: F401
+from .refiner import AdapterConfig, adapter_forward, head_forward, init_student
+from .tensors import ImageTensor, load_tensor, resize_bilinear, save_tensor
+from .vit import FileTeacher, LiveTeacher, ViTConfig, init_backbone, teacher_features, vit_forward
 
 METRICS_COLUMNS = ("iter", "lr", "l1", "edge", "spectral", "total", "gradnorm")
 
@@ -166,58 +167,57 @@ def train_step(batch: list[tuple[str, ImageTensor]], student: ModelParams,
                teacher_src=None, sample_cache: dict | None = None) -> dict[str, float]:
     """One optimization step over a batch of teacher-resolution images.
 
-    ``sample_cache`` memoizes the (deterministic, frozen) teacher features
-    and downsampled images per sample id across iterations.
+    ``sample_cache`` memoizes the (deterministic, frozen) teacher features,
+    downsampled images and low-res backbone maps per sample id across
+    iterations.
     """
     if teacher_src is None:
         teacher_src = make_teacher_source(cfg, vit_cfg, backbone)
     lr = warmup_lr(iteration, cfg)
 
-    teachers: list[FeatureMap] = []
-    lows: list[ImageTensor] = []
+    frozen = []
     for sid, img in batch:
         if sample_cache is not None and sid in sample_cache:
-            t_fm, low = sample_cache[sid]
+            sample = sample_cache[sid]
         else:
-            t_fm = teacher_features(teacher_src, sid, img)
             low = resize_bilinear(img, img.h // cfg.downsample_factor,
                                   img.w // cfg.downsample_factor, antialias=True)
+            sample = (teacher_features(teacher_src, sid, img), low,
+                      vit_forward(low, vit_cfg, backbone))
             if sample_cache is not None:
-                sample_cache[sid] = (t_fm, low)
-        teachers.append(t_fm)
-        lows.append(low)
+                sample_cache[sid] = sample
+        frozen.append(sample)
+    teachers, lows, low_maps = zip(*frozen)
 
-    pooled = np.concatenate([t.tokens() for t in teachers], axis=0)
-    pca = fit_pca(pooled, cfg.pca_k)
-    grid_h, grid_w = teachers[0].grid
-    spectral_cfg = cfg.spectral_config(grid_h, grid_w)
-    weights = cfg.loss_weights()
+    pca = fit_pca(np.concatenate([t.tokens() for t in teachers], axis=0), cfg.pca_k)
+    spectral_cfg = cfg.spectral_config(*teachers[0].grid)
 
-    sums = {"l1": 0.0, "edge": 0.0, "spectral": 0.0, "total": 0.0}
     with ad.Tape() as tape:
         nodes = student.as_nodes()
-        batch_total = None
-        for (sid, _), low, t_fm in zip(batch, lows, teachers):
-            s_out = refiner.student_forward(low, vit_cfg, adapter_cfg, backbone, nodes)
-            total, parts = loss_breakdown(s_out, t_fm, pca, weights, spectral_cfg)
-            if not np.isfinite(total.value):
-                raise NumericError(f"non-finite loss for sample {sid!r} at iteration {iteration}")
-            for key, node in parts.items():
-                sums[key] += float(node.value)
-            sums["total"] += float(total.value)
-            batch_total = total if batch_total is None else ad.add(batch_total, total)
-        batch_mean = ad.mul(batch_total, 1.0 / len(batch))
-        tape.backward(batch_mean)
+        pyramid = adapter_forward(np.stack([low.data for low in lows]), adapter_cfg, nodes)
+        s_out = head_forward(np.stack([m.data for m in low_maps]), pyramid, adapter_cfg, nodes)
+        total, parts = loss_breakdown(s_out, np.stack([t.data for t in teachers]), pca,
+                                      cfg.loss_weights(), spectral_cfg)
+        bad = ~np.isfinite(total.value)
+        if bad.any():
+            sid = batch[int(np.argmax(bad))][0]
+            raise NumericError(f"non-finite loss for sample {sid!r} at iteration {iteration}")
+        tape.backward(ad.reduce_mean(total))
 
     grads = {name: (node.grad if node.grad is not None else np.zeros_like(node.value))
              for name, node in nodes.items()}
     gradnorm = clip_gradients(grads, cfg.grad_clip)
     adam_step(student, grads, adam, lr)
 
-    n = len(batch)
-    return {"iter": float(iteration), "lr": lr, "l1": sums["l1"] / n,
-            "edge": sums["edge"] / n, "spectral": sums["spectral"] / n,
-            "total": sums["total"] / n, "gradnorm": gradnorm}
+    means = {key: _batch_mean(node.value) for key, node in parts.items()}
+    return {"iter": float(iteration), "lr": lr, **means, "total": _batch_mean(total.value),
+            "gradnorm": gradnorm}
+
+
+def _batch_mean(values: np.ndarray) -> float:
+    """Per-sample values as python floats added left to right, over n (``sum``
+    compensates from Python 3.12 on, which would change the logged bits)."""
+    return functools.reduce(operator.add, map(float, values)) / len(values)
 
 
 # ---------------------------------------------------------------------------

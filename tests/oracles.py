@@ -1,10 +1,14 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately written as slow, obvious loops (or closed
-forms) that do not touch the library's own computational paths. The one
-exception, ``autodiff_vit_tokens``, builds the frozen ViT forward from
-``brixel.autodiff`` ops, one graph node per op, as the reference the
-tape-free numpy forward in ``brixel.vit`` must match bit for bit.
+forms) that do not touch the library's own computational paths. The
+exceptions are references built from the library's own pieces in a simpler
+arrangement: ``autodiff_vit_tokens`` builds the frozen ViT forward from
+``brixel.autodiff`` ops, one graph node per op, which the tape-free numpy
+forward in ``brixel.vit`` must match bit for bit; ``per_sample_step`` runs a
+training step's forward and backward one image at a time, which the batched
+``brixel.training.train_step`` must match; ``backward_keeping_nodes`` is the
+backward walk that frees nothing.
 """
 
 import cmath
@@ -12,7 +16,10 @@ import cmath
 import numpy as np
 
 from brixel import autodiff as ad
-from brixel.vit import interpolate_pos_embed
+from brixel.losses import fit_pca, loss_breakdown
+from brixel.refiner import student_forward
+from brixel.tensors import resize_bilinear
+from brixel.vit import LiveTeacher, interpolate_pos_embed, teacher_features
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -177,3 +184,40 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         h = ad.gelu(ad.matmul(h, w[pre + "mlp.w1"]) + w[pre + "mlp.b1"])
         tokens = tokens + (ad.matmul(h, w[pre + "mlp.w2"]) + w[pre + "mlp.b2"])
     return ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"]).value
+
+
+def per_sample_step(batch, student, backbone, vit_cfg, adapter_cfg, cfg):
+    """Per-sample losses and parameter gradients of one training step, one
+    student graph per image: the batch total is a chain of adds scaled by
+    1/n, the way a per-sample loop builds it. Returns (rows, grads) with one
+    {"l1", "edge", "spectral", "total"} dict of 0-d arrays per sample."""
+    src = LiveTeacher(vit_cfg, backbone)
+    teachers = [teacher_features(src, sid, img) for sid, img in batch]
+    f = cfg.downsample_factor
+    lows = [resize_bilinear(img, img.h // f, img.w // f, antialias=True) for _, img in batch]
+    pca = fit_pca(np.concatenate([t.tokens() for t in teachers], axis=0), cfg.pca_k)
+    spectral_cfg = cfg.spectral_config(*teachers[0].grid)
+    rows = []
+    with ad.Tape() as tape:
+        nodes = student.as_nodes()
+        batch_total = None
+        for low, t_fm in zip(lows, teachers):
+            s_out = student_forward(low, vit_cfg, adapter_cfg, backbone, nodes)
+            total, parts = loss_breakdown(s_out, t_fm, pca, cfg.loss_weights(), spectral_cfg)
+            rows.append({**{k: v.value for k, v in parts.items()}, "total": total.value})
+            batch_total = total if batch_total is None else ad.add(batch_total, total)
+        tape.backward(ad.mul(batch_total, 1.0 / len(batch)))
+    return rows, {name: node.grad for name, node in nodes.items()}
+
+
+def backward_keeping_nodes(tape, root) -> None:
+    """Reverse-creation-order gradient walk over ``tape.nodes`` that keeps
+    every node, its ``.grad`` and its parent links."""
+    root.grad = np.ones_like(root.value)
+    for node in reversed(tape.nodes):
+        if node.grad is None:
+            continue
+        for parent, vjp in node.parents:
+            if parent.requires_grad:
+                g = vjp(node.grad)
+                parent.grad = g if parent.grad is None else parent.grad + g

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from brixel import autodiff as ad
-from oracles import finite_difference_grad, max_rel_err
+from oracles import backward_keeping_nodes, finite_difference_grad, max_rel_err
 
 F64 = np.float64
 
@@ -196,6 +198,51 @@ def test_grad_conv2d(stride, padding):
         ad.conv2d(ad.constant(x0.copy()), ad.constant(w0.copy()), b, stride, padding)), b0)
 
 
+def _conv_with_grads(x0, w0, b0, gy, stride, padding):
+    with ad.Tape() as tape:
+        x = ad.parameter(x0.copy())
+        w = ad.parameter(w0.copy())
+        b = ad.parameter(b0.copy())
+        y = ad.conv2d(x, w, b, stride, padding)
+        tape.backward(ad.reduce_sum(ad.mul(y, ad.constant(gy))))
+    return y.value, x.grad, w.grad, b.grad
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("out_side", [8, 5])
+def test_conv2d_batch_fold_matches_per_sample_calls(stride, padding, out_side):
+    """N=3 in one call against three N=1 calls (f64). With an 8x8 output per
+    sample the folded GEMM's columns block the same way per sample as in the
+    N=1 GEMM, as at every desk layer, and the forward must match bit for bit.
+    At 5x5 OpenBLAS may pick other small-size kernels for the wider product,
+    so there the forward, like the gradients, must agree to 1e-12."""
+    rng = np.random.default_rng(60 + 10 * stride + padding + out_side)
+    side = (out_side - 1) * stride + 3 - 2 * padding
+    x0 = rng.standard_normal((3, 4, side, side))
+    w0 = rng.standard_normal((5, 4, 3, 3))
+    b0 = rng.standard_normal(5)
+    gy = rng.standard_normal((3, 5, out_side, out_side))
+
+    y3, gx3, gw3, gb3 = _conv_with_grads(x0, w0, b0, gy, stride, padding)
+    singles = [_conv_with_grads(x0[i:i + 1], w0, b0, gy[i:i + 1], stride, padding)
+               for i in range(3)]
+    y1 = np.concatenate([s[0] for s in singles])
+    gx1 = np.concatenate([s[1] for s in singles])
+    gw1 = singles[0][2] + singles[1][2] + singles[2][2]
+    gb1 = singles[0][3] + singles[1][3] + singles[2][3]
+    if out_side == 8:
+        assert np.array_equal(y3, y1)
+    for got, want in [(y3, y1), (gx3, gx1), (gw3, gw1), (gb3, gb1)]:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grad_fft_amplitude_odd_width():
+    # odd W: every half-plane column but the first stands for a mirrored pair
+    for shape in [(2, 4, 5), (1, 3, 7), (3, 5, 3)]:
+        x0 = np.random.default_rng(sum(shape)).standard_normal(shape)
+        check_grad(lambda x: _scalarize(ad.fft_amplitude(x, 1e-24)), x0)
+
+
 def test_grad_pool_upsample_shuffle():
     check_grad(lambda x: _scalarize(ad.avg_pool2d(x, 2)), RNG.standard_normal((1, 2, 4, 6)))
     check_grad(lambda x: _scalarize(ad.upsample_nearest(x, 3)), RNG.standard_normal((1, 2, 3, 2)))
@@ -316,6 +363,36 @@ def test_backward_determinism_bit_identical():
         return x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    rng = np.random.default_rng(11)
+    x0 = rng.standard_normal((2, 3, 6, 6))
+    w0 = rng.standard_normal((4, 3, 3, 3))
+
+    def build():
+        x = ad.parameter(x0.copy())
+        w = ad.parameter(w0.copy())
+        y = ad.gelu(ad.conv2d(x, w, padding=1))
+        return x, w, y, ad.reduce_mean(ad.square(ad.add(y, ad.mul(y, 0.5))))
+
+    with ad.Tape() as tape:
+        x, w, y, root = build()
+        backward_keeping_nodes(tape, root)
+    assert y.grad is not None
+    kept = (x.grad.tobytes(), w.grad.tobytes())
+
+    with ad.Tape() as tape:
+        x, w, y, root = build()
+        held = y.parents[0][0]  # the conv2d output, still referenced here
+        probe = weakref.ref(y)
+        del y
+        tape.backward(root)
+    assert probe() is None
+    assert tape.nodes == []
+    assert held.grad is None and held.parents == ()
+    assert root.grad is None
+    assert (x.grad.tobytes(), w.grad.tobytes()) == kept
 
 
 def test_constant_graph_records_nothing():

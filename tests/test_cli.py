@@ -156,6 +156,23 @@ def test_resume_with_changed_experiment_exit_2(tmp_path, cfg_file, capsys):
     assert len(read_metrics(out)) == 4
 
 
+def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path, cfg_file):
+    """Rows an interrupted leg logged after its checkpoint are replaced, not
+    repeated: every iteration appears exactly once."""
+    out = tmp_path / "run"
+    cfg2 = tmp_path / "run2.cfg"
+    cfg2.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=2"))
+    assert main(["distill", "--config", str(cfg2), "--data", "synthetic",
+                 "--out", str(out)]) == 0
+    with open(out / "metrics.tsv", "a") as log:
+        log.write("2\t0.001\t1\t1\t1\t1\t1\n3\t0.001\t1\t1\t1\t1\t1\n")
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out), "--resume"]) == 0
+    lines = read_metrics(out)
+    assert [line.split("\t")[0] for line in lines] == ["0", "1", "2", "3"]
+    assert all(line.split("\t")[2] != "1" for line in lines)
+
+
 def test_resume_without_checkpoint_exit_3(tmp_path, cfg_file):
     code = main(["distill", "--config", str(cfg_file), "--data", "synthetic",
                  "--out", str(tmp_path / "fresh"), "--resume"])

@@ -4,6 +4,7 @@ import pytest
 from brixel import autodiff as ad
 from brixel.losses import (
     LossWeights,
+    PcaProjection,
     SpectralConfig,
     default_r0,
     edge_loss,
@@ -267,6 +268,14 @@ def test_spectrum_matches_brute_force(shape):
     assert np.max(np.abs(mine - loop_radial_spectrum(fm))) <= 1e-6
 
 
+@pytest.mark.parametrize("shape", [(2, 7, 9), (1, 8, 5), (3, 5, 8)])
+def test_spectrum_odd_sides_match_brute_force(shape):
+    """With odd W the real-FFT half-plane has no Nyquist column: every
+    column but the first stands for itself and its mirror."""
+    fm = rand_fm(shape, np.random.default_rng(17))
+    assert np.max(np.abs(radial_spectrum(fm).value - loop_radial_spectrum(fm))) <= 1e-6
+
+
 def test_oracle_channel_averaging_orders_agree():
     fm = rand_fm((3, 8, 8), np.random.default_rng(8))
     a = loop_radial_spectrum(fm)
@@ -422,3 +431,37 @@ def test_edge_loss_detached_pca_equals_constant_pca():
         tape.backward(edge_loss(s, t0, frozen))
     g2 = s.grad
     assert np.max(np.abs(g1 - g2)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacked maps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 4, 6, 10), (3, 8, 16, 16), (4, 32, 32, 32)])
+def test_stacked_maps_match_per_map_bits(shape, dtype):
+    """Every loss function on an (N, C, H, W) stack gives, per sample, the
+    bits of the call on that one (C, H, W) map."""
+    rng = np.random.default_rng(shape[-1])
+    t = rand_fm(shape, rng, dtype)
+    s = t + (0.3 * rng.standard_normal(shape)).astype(dtype)
+    p = fit_pca(np.concatenate([tm.reshape(shape[1], -1).T for tm in t]), 3)
+    p = PcaProjection(p.mean.astype(dtype), p.basis.astype(dtype), p.k)
+    cfg = SpectralConfig(r0=default_r0(*shape[-2:]))
+    fns = {
+        "l1": lambda a, b: l1_loss(a, b),
+        "edge": lambda a, b: edge_loss(a, b, p),
+        "spectral": lambda a, b: spectral_loss(a, b, cfg),
+        "total": lambda a, b: total_loss(a, b, p, LossWeights(), cfg),
+        "breakdown.edge": lambda a, b: loss_breakdown(a, b, p, LossWeights(), cfg)[1]["edge"],
+        "project": lambda a, b: project(a, p),
+        "sobel.x": lambda a, b: sobel(a)[0],
+        "sobel.y": lambda a, b: sobel(a)[1],
+        "radial_spectrum": lambda a, b: radial_spectrum(a),
+    }
+    for name, fn in fns.items():
+        stacked = fn(s, t).value
+        per_map = [fn(s[i], t[i]).value for i in range(shape[0])]
+        assert stacked.shape == (shape[0],) + per_map[0].shape, name
+        for i, want in enumerate(per_map):
+            assert stacked[i].tobytes() == want.tobytes(), (name, i)

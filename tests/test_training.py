@@ -19,8 +19,11 @@ from brixel.training import (
     train_step,
     warmup_lr,
 )
+from brixel import training
 from brixel.data import synthetic_dataset
-from brixel.vit import ViTConfig
+from brixel.tensors import F64
+from brixel.vit import ViTConfig, init_backbone
+from oracles import per_sample_step
 
 VIT = ViTConfig(patch_size=8, embed_dim=8, depth=1, heads=2)
 ADA = AdapterConfig(pyramid_channels=(4, 4, 4), fusion_channels=8, head_blocks=1)
@@ -156,6 +159,41 @@ def test_select_batch_is_stateless_in_iteration():
     c = [sid for sid, _ in select_batch(ds, CFG, 4)]
     assert a == b
     assert len(c) == CFG.batch_size
+
+
+def test_batched_step_matches_per_sample_oracle(monkeypatch):
+    """One N=batch graph against one graph per image, f64, desk sizes: the
+    per-sample losses must be bit-equal and the gradients agree to 1e-12."""
+    vit_cfg, ada_cfg = ViTConfig(), AdapterConfig()
+    cfg = DistillConfig(batch_size=3, dataset_size=3, seed=2)
+    backbone = init_backbone(vit_cfg, seed=cfg.seed).astype(F64)
+    student = init_student(vit_cfg, ada_cfg, seed=cfg.seed + 1, dtype=F64)
+    batch = select_batch(make_dataset(cfg), cfg, 0)
+    rows, want = per_sample_step(batch, student.copy(), backbone, vit_cfg, ada_cfg, cfg)
+
+    seen = {}
+    loss_breakdown, clip_gradients = training.loss_breakdown, training.clip_gradients
+
+    def spy_losses(*args):
+        total, parts = loss_breakdown(*args)
+        seen.update({k: v.value for k, v in parts.items()}, total=total.value)
+        return total, parts
+
+    def spy_clip(grads, max_norm):
+        seen["grads"] = {k: g.copy() for k, g in grads.items()}
+        return clip_gradients(grads, max_norm)
+
+    monkeypatch.setattr(training, "loss_breakdown", spy_losses)
+    monkeypatch.setattr(training, "clip_gradients", spy_clip)
+    train_step(batch, student, backbone, vit_cfg, ada_cfg, cfg, init_adam(student), 0)
+
+    for key in ("l1", "edge", "spectral", "total"):
+        assert seen[key].shape == (3,)
+        for i, row in enumerate(rows):
+            assert seen[key][i].tobytes() == row[key].tobytes(), (key, i)
+    for name, g in want.items():
+        got = seen["grads"][name]
+        assert np.max(np.abs(got - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
 # ---------------------------------------------------------------------------
