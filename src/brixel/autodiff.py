@@ -1,14 +1,14 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
-The op set is the minimum closed over the refiner/head and the three
-distillation losses (the frozen ViT runs tape-free, in plain numpy):
-elementwise arithmetic, (broadcasting) matmul, 2-d convolution with padding
-helpers, pooling/upsampling/pixel-shuffle, sums, the amplitude of an
-orthonormal real 2-d FFT, and the usual nonlinearities. Composite ops
-(reduce_mean, softmax, layer_norm) are built from the primitives so their
-gradients come for free. ``conv2d`` pads inside the op and folds the batch
-into the GEMM column axis, so a batch costs one GEMM forward and one each
-for the weight and input gradients.
+The op set is exactly what the refiner/head and the three distillation
+losses reach (the frozen ViT runs tape-free, in plain numpy): elementwise
+arithmetic, (broadcasting) matmul, shape ops, sums, the amplitude of an
+orthonormal real 2-d FFT, 2-d convolution, pooling/upsampling/pixel-shuffle
+and GELU. The two composites, ``reduce_mean`` and a ``layer_norm`` over the
+channel axis, are built from the primitives so their gradients come for
+free. ``conv2d`` pads inside the op and folds the batch into the GEMM column
+axis, so a batch costs one GEMM forward and one each for the weight and
+input gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call, which frees
@@ -96,77 +96,11 @@ class Node:
     def __repr__(self):
         return f"<Node shape={self.value.shape} dtype={self.value.dtype} rg={self.requires_grad}>"
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def dtype(self):
-        return self.value.dtype
-
-    # -- arithmetic sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- shape / reduction sugar ----------------------------------------------
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def abs(self):
-        return absolute(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def square(self):
-        return square(self)
 
 
 def constant(value, dtype=None) -> Node:
@@ -277,11 +211,6 @@ def div(a, b) -> Node:
     ])
 
 
-def neg(a) -> Node:
-    a = as_node(a)
-    return _record(-a.value, [(a, lambda g: -g)])
-
-
 def absolute(a) -> Node:
     a = as_node(a)
     return _record(np.abs(a.value), [(a, lambda g: g * np.sign(a.value))])
@@ -294,22 +223,10 @@ def log(a) -> Node:
     return _record(np.log(a.value), [(a, lambda g: g / a.value)])
 
 
-def exp(a) -> Node:
-    a = as_node(a)
-    out = np.exp(a.value)
-    return _record(out, [(a, lambda g: g * out)])
-
-
 def sqrt(a) -> Node:
     a = as_node(a)
     out = np.sqrt(a.value)
     return _record(out, [(a, lambda g: g * (0.5 / out))])
-
-
-def tanh(a) -> Node:
-    a = as_node(a)
-    out = np.tanh(a.value)
-    return _record(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
 def square(a) -> Node:
@@ -430,44 +347,6 @@ def fft_amplitude(x, eps: float) -> Node:
 # ---------------------------------------------------------------------------
 # Spatial ops (4-d layout: batch, channels, height, width)
 # ---------------------------------------------------------------------------
-
-def pad2d(a, pad: int, mode: str = "zero") -> Node:
-    """Pad the last two axes; ``mode`` is "zero" or "replicate"."""
-    a = as_node(a)
-    if pad == 0:
-        return a
-    x = a.value
-    h, w = x.shape[-2], x.shape[-1]
-    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    if mode == "zero":
-        out = np.pad(x, width)
-
-        def vjp(g):
-            return np.ascontiguousarray(g[..., pad:pad + h, pad:pad + w])
-
-    elif mode == "replicate":
-        out = np.pad(x, width, mode="edge")
-
-        def vjp(g):
-            core = g[..., pad:pad + h, pad:pad + w].copy()
-            top = g[..., :pad, pad:pad + w].sum(axis=-2)
-            bot = g[..., pad + h:, pad:pad + w].sum(axis=-2)
-            left = g[..., pad:pad + h, :pad].sum(axis=-1)
-            right = g[..., pad:pad + h, pad + w:].sum(axis=-1)
-            core[..., 0, :] += top
-            core[..., -1, :] += bot
-            core[..., :, 0] += left
-            core[..., :, -1] += right
-            core[..., 0, 0] += g[..., :pad, :pad].sum(axis=(-1, -2))
-            core[..., 0, -1] += g[..., :pad, pad + w:].sum(axis=(-1, -2))
-            core[..., -1, 0] += g[..., pad + h:, :pad].sum(axis=(-1, -2))
-            core[..., -1, -1] += g[..., pad + h:, pad + w:].sum(axis=(-1, -2))
-            return core
-
-    else:
-        raise ValueError(f"unknown pad mode {mode!r}")
-    return _record(out, [(a, vjp)])
-
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
     """(C*kh*kw, N*Ho*Wo) patch columns, the batch folded into the column axis."""
@@ -590,21 +469,16 @@ def pixel_shuffle(a, r: int) -> Node:
 # Composites
 # ---------------------------------------------------------------------------
 
-def softmax(x, axis: int = -1) -> Node:
-    x = as_node(x)
-    shift = constant(x.value.max(axis=axis, keepdims=True))  # constant shift; exact gradient
-    e = exp(sub(x, shift))
-    return div(e, reduce_sum(e, axis=axis, keepdims=True))
-
-
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over axis 1, the channel axis of (N, C) tokens and of
+    (N, C, H, W) maps, then scale and shift by the (C,) gamma and beta."""
     x = as_node(x)
-    mu = reduce_mean(x, axis=-1, keepdims=True)
+    mu = reduce_mean(x, axis=1, keepdims=True)
     xc = sub(x, mu)
-    var = reduce_mean(square(xc), axis=-1, keepdims=True)
+    var = reduce_mean(square(xc), axis=1, keepdims=True)
     xn = div(xc, sqrt(add(var, eps)))
-    return add(mul(xn, gamma), beta)
+    per_channel = (-1,) + (1,) * (x.value.ndim - 2)
+    return add(mul(xn, reshape(gamma, per_channel)), reshape(beta, per_channel))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -629,10 +503,3 @@ def gelu(x) -> Node:
 
     return _record(out, [(x, vjp)])
 
-
-def global_grad_norm(grads) -> float:
-    """Euclidean norm over a collection of gradient arrays."""
-    sq = 0.0
-    for g in grads:
-        sq += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return math.sqrt(sq)

@@ -3,7 +3,9 @@
 * plain L1 between student and teacher maps,
 * an edge loss comparing Sobel responses of both maps after a token-wise
   projection onto the top-K principal components of the batch teacher
-  tokens (computed by SVD, never receiving gradients), and
+  tokens (computed by SVD, never receiving gradients); the separable Sobel
+  kernel, replicate padding included, runs as products with fixed (n, n)
+  matrices along each axis, and
 * a spectral loss comparing log radial amplitude spectra above a cutoff
   radius, so the student is pushed to reproduce the teacher's
   high-frequency content. The 2-d amplitude spectrum is numpy's real FFT
@@ -28,9 +30,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .tensors import FeatureMap
-
-SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-SOBEL_Y = SOBEL_X.T.copy()
 
 # guards sqrt(0) inside amplitude computation; far below every tolerance in use
 _AMP_EPS = 1e-24
@@ -187,20 +186,40 @@ def project(fm, p: PcaProjection) -> ad.Node:
 # Sobel / edge loss
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _sobel_matrices(n: int, dtype_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n) matrices applying the Sobel factors along one axis of length n:
+    S smooths with [1, 2, 1] and D differences with [-1, 0, 1]. Replicate
+    padding is folded into the first and last rows (an index past an edge
+    reads the edge sample)."""
+    s = np.zeros((n, n))
+    d = np.zeros((n, n))
+    rows = np.arange(n)
+    for offset, smooth, diff in ((-1, 1.0, -1.0), (0, 2.0, 0.0), (1, 1.0, 1.0)):
+        cols = np.clip(rows + offset, 0, n - 1)
+        s[rows, cols] += smooth
+        d[rows, cols] += diff
+    dtype = np.dtype(dtype_name)
+    return s.astype(dtype), d.astype(dtype)
+
+
 def sobel(fm) -> tuple[ad.Node, ad.Node]:
-    """Channel-wise 3x3 Sobel responses with replicate padding (same size)."""
+    """Channel-wise 3x3 Sobel responses with replicate padding (same size).
+
+    The kernel is separable, so each response of an (H, W) plane X is two
+    products with fixed matrices: gx = S_H @ X @ D_W^T and
+    gy = D_H @ X @ S_W^T (see ``_sobel_matrices``).
+    """
     x = _as_student_node(fm)
     _check_maps(x)
-    shape = x.value.shape
-    h, w = shape[-2:]
+    h, w = x.value.shape[-2:]
     if h < 3 or w < 3:
         raise ValueError(f"grid {(h, w)} too small for a 3x3 Sobel window")
-    dtype = x.value.dtype
-    planes = ad.pad2d(ad.reshape(x, (-1, 1, h, w)), 1, "replicate")
-    kx = ad.constant(SOBEL_X.reshape(1, 1, 3, 3).astype(dtype))
-    ky = ad.constant(SOBEL_Y.reshape(1, 1, 3, 3).astype(dtype))
-    gx = ad.reshape(ad.conv2d(planes, kx), shape)
-    gy = ad.reshape(ad.conv2d(planes, ky), shape)
+    dtype = x.value.dtype.name
+    s_h, d_h = (ad.constant(m) for m in _sobel_matrices(h, dtype))
+    s_w_t, d_w_t = (ad.constant(m.T) for m in _sobel_matrices(w, dtype))
+    gx = ad.matmul(ad.matmul(s_h, x), d_w_t)
+    gy = ad.matmul(ad.matmul(d_h, x), s_w_t)
     return gx, gy
 
 

@@ -93,12 +93,6 @@ def _as_node_dict(params) -> dict[str, ad.Node]:
     return params
 
 
-def _channel_norm(x: ad.Node, g: ad.Node, b: ad.Node) -> ad.Node:
-    """Layer norm over the channel axis of (N, C, H, W) features."""
-    xt = ad.transpose(x, (0, 2, 3, 1))
-    return ad.transpose(ad.layer_norm(xt, g, b), (0, 3, 1, 2))
-
-
 def adapter_forward(img_low, cfg: AdapterConfig, params) -> list[ad.Node]:
     """Image-branch pyramid over one ``ImageTensor`` or an (N, 3, h, w)
     stack. Level l has spatial size (h/s_l, w/s_l) for strides 4/8/16
@@ -170,7 +164,7 @@ def head_forward(backbone_fm, pyramid: list[ad.Node], cfg: AdapterConfig, params
     h = ad.gelu(ad.conv2d(feats, w["head.fuse.w"], w["head.fuse.b"]))
     for i in range(cfg.head_blocks):
         r = ad.conv2d(h, w[f"head.block{i}.conv1.w"], w[f"head.block{i}.conv1.b"], padding=1)
-        r = ad.gelu(_channel_norm(r, w[f"head.block{i}.n.g"], w[f"head.block{i}.n.b"]))
+        r = ad.gelu(ad.layer_norm(r, w[f"head.block{i}.n.g"], w[f"head.block{i}.n.b"]))
         r = ad.conv2d(r, w[f"head.block{i}.conv2.w"], w[f"head.block{i}.conv2.b"], padding=1)
         h = h + r
     for j in range(cfg.upsample_stages):

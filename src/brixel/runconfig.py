@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ConfigError
+from .losses import r_max_for_grid
 from .refiner import PYRAMID_STRIDES, AdapterConfig
 from .training import DistillConfig
 from .vit import ViTConfig
@@ -66,6 +67,10 @@ class RunConfig:
             self.adapter = AdapterConfig(
                 **{k: values.pop(k) for k in list(values) if k in _ADAPTER_KEYS})
             self.distill = DistillConfig(**values)
+            # build the loss settings train_step builds, on the teacher grid
+            self.distill.loss_weights()
+            t_grid = self.distill.teacher_resolution // self.vit.patch_size
+            r0 = self.distill.spectral_config(t_grid, t_grid).r0
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         side, patch_size = self.distill.student_resolution, self.vit.patch_size
@@ -77,6 +82,13 @@ class RunConfig:
         if any(max(n, grid) % min(n, grid) for n in levels):
             raise ConfigError(f"student_resolution={side} with {patch_size=}: the backbone grid "
                               f"{grid} and the pyramid levels {levels} must divide one another")
+        r_max = r_max_for_grid(t_grid, t_grid)
+        if r0 > r_max:
+            raise ConfigError(f"r0={r0} leaves no spectrum radii <= r_max={r_max} "
+                              f"on the {t_grid}x{t_grid} teacher grid")
+        if self.distill.pca_k > self.vit.embed_dim:
+            raise ConfigError(f"pca_k={self.distill.pca_k} must be <= embed_dim="
+                              f"{self.vit.embed_dim}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -4,11 +4,12 @@ Everything here is deliberately written as slow, obvious loops (or closed
 forms) that do not touch the library's own computational paths. The
 exceptions are references built from the library's own pieces in a simpler
 arrangement: ``autodiff_vit_tokens`` builds the frozen ViT forward from
-``brixel.autodiff`` ops, one graph node per op, which the tape-free numpy
-forward in ``brixel.vit`` must match bit for bit; ``per_sample_step`` runs a
-training step's forward and backward one image at a time, which the batched
-``brixel.training.train_step`` must match; ``backward_keeping_nodes`` is the
-backward walk that frees nothing.
+``brixel.autodiff`` ops, one graph node per op (the attention softmax, which
+no training path needs, is two numpy lines on the score values in the same
+op order), which the tape-free numpy forward in ``brixel.vit`` must match
+bit for bit; ``per_sample_step`` runs a training step's forward and backward
+one image at a time, which the batched ``brixel.training.train_step`` must
+match; ``backward_keeping_nodes`` is the backward walk that frees nothing.
 """
 
 import cmath
@@ -162,8 +163,9 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         q = ad.transpose(ad.reshape(q, (n, heads, dh)), (1, 0, 2))
         k = ad.transpose(ad.reshape(k, (n, heads, dh)), (1, 2, 0))
         v = ad.transpose(ad.reshape(v, (n, heads, dh)), (1, 0, 2))
-        scores = ad.matmul(q, k) * (1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores, axis=-1)
+        scores = (ad.matmul(q, k) * (1.0 / np.sqrt(dh))).value
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = ad.constant(e / e.sum(axis=-1, keepdims=True))
         out = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, c))
         return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]
 

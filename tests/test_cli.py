@@ -105,6 +105,20 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ["eps_log=0", "lambda_edge=-1", "lambda_spectral=-1",
+                                  "r0=100", "pca_k=40"])
+def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
+    # each value parses, but the first training step would reject it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    out = tmp_path / "o"
+    code = main(["distill", "--config", str(bad), "--data", "synthetic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (out / "metrics.tsv").exists() or read_metrics(out) == []
+
+
 def test_unreadable_data_exit_3(tmp_path, cfg_file):
     code = main(["distill", "--config", str(cfg_file), "--data",
                  str(tmp_path / "missing"), "--out", str(tmp_path / "o")])

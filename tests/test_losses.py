@@ -185,6 +185,25 @@ def test_sobel_matches_loop_oracle():
         assert np.max(np.abs(gy.value[c] - loop_conv2d_same_replicate(fm[c], SOBEL_X.T))) <= 1e-6
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (1, 2, 3, 7), (3, 1, 6, 6)])
+def test_sobel_gradient_matches_finite_differences(shape):
+    # the replicate boundary rows and columns of both Sobel matrices, on a
+    # stack, with odd, even and non-square sides
+    rng = np.random.default_rng(sum(shape))
+    wx, wy = (ad.constant(rng.standard_normal(shape)) for _ in range(2))
+
+    def build(x):
+        gx, gy = sobel(x)
+        return ad.add(ad.reduce_sum(ad.mul(gx, wx)), ad.reduce_sum(ad.mul(gy, wy)))
+
+    x0 = rng.standard_normal(shape)
+    with ad.Tape() as tape:
+        x = ad.parameter(x0.copy())
+        tape.backward(build(x))
+    numeric = finite_difference_grad(lambda v: float(build(ad.constant(v)).value), x0)
+    assert max_rel_err(x.grad, numeric) <= 1e-6
+
+
 def test_sobel_rejects_small_grid():
     with pytest.raises(ValueError):
         sobel(np.zeros((1, 2, 5)))

@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from brixel import autodiff as ad
 from brixel.errors import ConfigError, DataIOError, NumericError
 from brixel.params import ModelParams
-from brixel.refiner import AdapterConfig, init_student
+from brixel.evalbench import fidelity
+from brixel.refiner import AdapterConfig, init_student, student_feature_map
 from brixel.training import (
     AdamState,
     DistillConfig,
@@ -21,8 +25,8 @@ from brixel.training import (
 )
 from brixel import training
 from brixel.data import synthetic_dataset
-from brixel.tensors import F64
-from brixel.vit import ViTConfig, init_backbone
+from brixel.tensors import F64, resize_bilinear
+from brixel.vit import LiveTeacher, ViTConfig, init_backbone, teacher_features
 from oracles import per_sample_step
 
 VIT = ViTConfig(patch_size=8, embed_dim=8, depth=1, heads=2)
@@ -194,6 +198,34 @@ def test_batched_step_matches_per_sample_oracle(monkeypatch):
     for name, g in want.items():
         got = seen["grads"][name]
         assert np.max(np.abs(got - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_every_public_autodiff_op_is_reached(monkeypatch):
+    """Each public ``brixel.autodiff`` op has a caller on the training or
+    evaluation path: one step, one student map and one fidelity report."""
+    leaves = {"constant", "parameter", "detach", "as_node"}
+    ops = [name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+           and not name.startswith("_") and name not in leaves]
+    called = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ops:
+        monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
+    run = init_run(VIT, ADA, CFG)
+    batch = select_batch(make_dataset(), CFG, 0)
+    train_step(batch, run.student, run.backbone, VIT, ADA, CFG, run.adam, iteration=0)
+    sid, img = batch[0]
+    f = CFG.downsample_factor
+    low = resize_bilinear(img, img.h // f, img.w // f, antialias=True)
+    fidelity(student_feature_map(low, VIT, ADA, run.backbone, run.student),
+             teacher_features(LiveTeacher(VIT, run.backbone), sid, img))
+    assert sorted(set(ops) - called) == []
 
 
 # ---------------------------------------------------------------------------
