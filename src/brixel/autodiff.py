@@ -287,21 +287,6 @@ def concat(parts, axis: int = 0) -> Node:
     return _record(out, [(p, make_vjp(i)) for i, p in enumerate(parts)])
 
 
-def narrow(a, axis: int, start: int, length: int) -> Node:
-    """Contiguous slice along one axis."""
-    a = as_node(a)
-    idx = [slice(None)] * a.value.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        out[idx] = g
-        return out
-
-    return _record(np.ascontiguousarray(a.value[idx]), [(a, vjp)])
-
-
 def reduce_sum(a, axis=None, keepdims=False) -> Node:
     a = as_node(a)
     out = a.value.sum(axis=axis, keepdims=keepdims)

@@ -7,7 +7,8 @@ follows the shared-basis convention: one SVD fit on the reference map's
 tokens, every map projected onto the first three directions and colored
 with the reference map's min/max.
 
-The cost model is closed-form. All counts are kept internally as
+The cost model is closed-form in MACs and activations; parameter counts are
+the sizes of the initialised tensors. Compute counts are kept internally as
 multiply-accumulate pairs (MACs); reported FLOPs use the convention
 1 MAC = 2 FLOPs, stated in every report header.
 """
@@ -21,10 +22,10 @@ import numpy as np
 
 from .losses import SpectralConfig, default_r0, fit_pca, radial_spectrum
 from .params import ModelParams
-from .refiner import AdapterConfig
+from .refiner import AdapterConfig, init_student
 from .tensors import FeatureMap, resize_plane
 from .training import adam_step, init_adam
-from .vit import POS_BASE_GRID, ViTConfig
+from .vit import ViTConfig, init_backbone
 
 FLOPS_PER_MAC = 2
 FLOP_NOTE = "FLOP convention: 1 multiply-accumulate = 2 FLOPs"
@@ -60,12 +61,10 @@ def fidelity(student_fm: FeatureMap, teacher_fm: FeatureMap,
     norms = np.linalg.norm(st, axis=1) * np.linalg.norm(tt, axis=1)
     cosine = float(np.mean(dots / (norms + 1e-12)))
 
-    h, w = student_fm.grid
-    r0 = cfg.r0 if cfg is not None else default_r0(h, w)
-    eps = cfg.eps_log if cfg is not None else 1e-8
-    p_s = radial_spectrum(s.astype(np.float64)).value
-    p_t = radial_spectrum(t.astype(np.float64)).value
-    gap = float(np.mean(np.abs(np.log(p_t[r0:] + eps) - np.log(p_s[r0:] + eps))))
+    cfg = cfg or SpectralConfig(r0=default_r0(*student_fm.grid))
+    p_s = radial_spectrum(s.astype(np.float64), cfg.r0).value
+    p_t = radial_spectrum(t.astype(np.float64), cfg.r0).value
+    gap = float(np.mean(np.abs(np.log(p_t + cfg.eps_log) - np.log(p_s + cfg.eps_log))))
     return FidelityReport(l1=l1, cosine=cosine, spectrum_gap=gap)
 
 
@@ -163,33 +162,6 @@ def _conv_macs(k: int, cin: int, cout: int, out_hw: int) -> int:
     return k * k * cin * cout * out_hw * out_hw
 
 
-def vit_param_count(cfg: ViTConfig) -> int:
-    c, hid = cfg.embed_dim, cfg.mlp_hidden
-    per_block = (2 * c            # ln1
-                 + 4 * c * c + 4 * c  # attention projections + biases
-                 + 2 * c            # ln2
-                 + c * hid + hid + hid * c + c)
-    total = (c * 3 * cfg.patch_size ** 2 + c   # patch embed
-             + POS_BASE_GRID ** 2 * c          # position table
-             + cfg.depth * per_block)
-    if cfg.depth > 0:
-        total += 2 * c  # final norm
-    return total
-
-
-def student_param_count(vit_cfg: ViTConfig, cfg: AdapterConfig) -> int:
-    c = vit_cfg.embed_dim
-    p0, p1, p2 = cfg.pyramid_channels
-    f = cfg.fusion_channels
-    conv = lambda cout, cin, k: cout * cin * k * k + cout
-    total = conv(p0, 3, 3) + conv(p0, p0, 3) + conv(p1, p0, 3) + conv(p2, p1, 3)
-    total += conv(f, c + p0 + p1 + p2, 1)
-    total += cfg.head_blocks * (2 * conv(f, f, 3) + 2 * f)
-    total += cfg.upsample_stages * conv(4 * f, f, 3)
-    total += conv(c, f, 1)
-    return total
-
-
 def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) -> CostReport:
     """Cost of one dense map at grid input_size/patch_size.
 
@@ -236,8 +208,8 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
         attention_scores_macs_teacher=t_scores,
         peak_act_teacher=t_peak,
         peak_act_student=peak_student,
-        params_teacher=vit_param_count(vit_cfg),
-        params_student=student_param_count(vit_cfg, adapter_cfg),
+        params_teacher=sum(t.size for _, t in init_backbone(vit_cfg, seed=0).items()),
+        params_student=sum(t.size for _, t in init_student(vit_cfg, adapter_cfg, 0).items()),
     )
 
 

@@ -61,6 +61,8 @@ def read_ppm(path) -> ImageTensor:
         w, h, maxval = (int(x) for x in fields)
     except ValueError as exc:
         raise DataIOError(f"{path}: malformed PPM header") from exc
+    if w < 1 or h < 1:
+        raise DataIOError(f"{path}: PPM size {w}x{h} has no pixels")
     if maxval != 255:
         raise DataIOError(f"{path}: only maxval 255 is supported, got {maxval}")
     expected = w * h * 3

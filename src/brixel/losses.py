@@ -3,14 +3,16 @@
 * plain L1 between student and teacher maps,
 * an edge loss comparing Sobel responses of both maps after a token-wise
   projection onto the top-K principal components of the batch teacher
-  tokens (computed by SVD, never receiving gradients); the separable Sobel
-  kernel, replicate padding included, runs as products with fixed (n, n)
-  matrices along each axis, and
+  tokens (computed by SVD, never receiving gradients). Projection and Sobel
+  are both linear, so the loss runs them once, on the gap T - S, where the
+  PCA mean cancels; the separable Sobel kernel, replicate padding included,
+  runs as products with fixed (n, n) matrices along each axis, and
 * a spectral loss comparing log radial amplitude spectra above a cutoff
   radius, so the student is pushed to reproduce the teacher's
   high-frequency content. The 2-d amplitude spectrum is numpy's real FFT
   (the half-plane ``np.fft.rfft2`` keeps) behind one autodiff op
-  (``ad.fft_amplitude``) with an analytic gradient.
+  (``ad.fft_amplitude``) with an analytic gradient; the cutoff is a row
+  range of the fixed matrix that averages it into radius bins.
 
 Every function takes one (C, H, W) map or a stack (N, C, H, W) of them and
 reduces over the last three axes: a stack gives per-sample values of shape
@@ -164,22 +166,30 @@ def fit_pca(tokens, k: int) -> PcaProjection:
     return PcaProjection(mean.astype(dtype), basis.astype(dtype), k, degenerate)
 
 
+def _check_channels(x: ad.Node, p: PcaProjection):
+    _check_maps(x)
+    if x.value.shape[-3] != len(p.mean):
+        raise ValueError(f"map has {x.value.shape[-3]} channels, projection expects {len(p.mean)}")
+
+
+def _basis_coordinates(x: ad.Node, p: PcaProjection) -> ad.Node:
+    """Token-wise map x -> V_K^T x, (..., C, H, W) -> (..., K, H, W)."""
+    *lead, c, h, w = x.value.shape
+    b = len(lead)
+    batch = tuple(range(b))
+    tokens = ad.reshape(ad.transpose(x, batch + (b + 1, b + 2, b)), (*lead, h * w, c))
+    # a stack runs as one (H*W, C) @ (C, K) product per map, as a single map does
+    coords = ad.matmul(tokens, ad.constant(p.basis.astype(x.value.dtype)))
+    return ad.transpose(ad.reshape(coords, (*lead, h, w, p.k)), batch + (b + 2, b, b + 1))
+
+
 def project(fm, p: PcaProjection) -> ad.Node:
     """Token-wise map t -> V_K^T (t - mu); output (..., K, H, W). No gradient
     reaches the projection itself."""
     x = _as_student_node(fm)
-    _check_maps(x)
-    *lead, c, h, w = x.value.shape
-    if c != p.basis.shape[0]:
-        raise ValueError(f"map has {c} channels, projection expects {p.basis.shape[0]}")
-    dtype = x.value.dtype
-    b = len(lead)
-    batch = tuple(range(b))
-    tokens = ad.reshape(ad.transpose(x, batch + (b + 1, b + 2, b)), (*lead, h * w, c))
-    centered = ad.sub(tokens, ad.constant(p.mean.astype(dtype)))
-    # a stack runs as one (H*W, C) @ (C, K) product per map, as a single map does
-    proj = ad.matmul(centered, ad.constant(p.basis.astype(dtype)))
-    return ad.transpose(ad.reshape(proj, (*lead, h, w, p.k)), batch + (b + 2, b, b + 1))
+    _check_channels(x, p)
+    mean = p.mean.astype(x.value.dtype).reshape(-1, 1, 1)
+    return _basis_coordinates(ad.sub(x, ad.constant(mean)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +234,20 @@ def sobel(fm) -> tuple[ad.Node, ad.Node]:
 
 
 def edge_loss(student, teacher, p: PcaProjection) -> ad.Node:
-    """Mean |sobel_x(P(T)) - sobel_x(P(S))| + mean |sobel_y(...)|."""
+    """Mean |sobel_x(P(T)) - sobel_x(P(S))| + mean |sobel_y(...)| per map.
+
+    P and Sobel are linear, so each response gap is the response of the
+    projected gap V_K^T (T - S): one projection and one Sobel pair, with no
+    centring, because the PCA mean cancels in the difference.
+    """
     s = _as_student_node(student)
     t = _as_teacher_node(teacher)
     _check_same_shape(s, t)
-    gx_s, gy_s = sobel(project(s, p))
-    gx_t, gy_t = sobel(project(t, p))
-    return ad.add(ad.reduce_mean(ad.absolute(ad.sub(gx_t, gx_s)), axis=_MAP_AXES),
-                  ad.reduce_mean(ad.absolute(ad.sub(gy_t, gy_s)), axis=_MAP_AXES))
+    gap = ad.sub(t, s)
+    _check_channels(gap, p)
+    gx, gy = sobel(_basis_coordinates(gap, p))
+    return ad.add(ad.reduce_mean(ad.absolute(gx), axis=_MAP_AXES),
+                  ad.reduce_mean(ad.absolute(gy), axis=_MAP_AXES))
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +295,30 @@ def _bin_average_matrix(h: int, w: int, dtype_name: str) -> np.ndarray:
     return mat.reshape(r_max + 1, h * wh).astype(np.dtype(dtype_name))
 
 
-def radial_spectrum(fm) -> ad.Node:
-    """One-dimensional amplitude spectrum, shape (..., r_max + 1).
+def radial_spectrum(fm, r0: int = 0) -> ad.Node:
+    """One-dimensional amplitude spectrum over radii r0..r_max, shape
+    (..., r_max + 1 - r0); the default r0=0 is the full spectrum.
 
     Per channel, the amplitude of the unitary 2-d DFT (normalized by
     sqrt(H*W)) comes from one ``ad.fft_amplitude`` op on the real-FFT
     half-plane with an analytic gradient; amplitudes are averaged over
     channels, then averaged within integer-radius annuli of centered
-    frequencies.
+    frequencies by rows r0: of the cached bin matrix, bit-equal to those radii
+    of the full spectrum.
     """
     x = _as_student_node(fm)
     _check_maps(x)
     *lead, _, h, w = x.value.shape
+    r_max = r_max_for_grid(h, w)
+    if not 0 <= r0 <= r_max:
+        raise ValueError(f"r0={r0} must lie in 0..r_max={r_max}")
     amp = ad.fft_amplitude(x, _AMP_EPS)
     mean_amp = ad.reduce_mean(amp, axis=-3)
     hw = mean_amp.value.shape[-2] * mean_amp.value.shape[-1]
-    # a stack runs as one matrix-vector product per map, as a single map does
-    binned = ad.matmul(ad.constant(_bin_average_matrix(h, w, x.value.dtype.name)),
-                       ad.reshape(mean_amp, (*lead, hw, 1)))
-    return ad.reshape(binned, binned.value.shape[:-1])
+    # one weighted sum per radius, so no radius depends on the rows dropped or the
+    # stack size, as it would in a BLAS matrix-vector product that groups rows
+    weights = ad.constant(_bin_average_matrix(h, w, x.value.dtype.name)[r0:])
+    return ad.reduce_sum(ad.mul(weights, ad.reshape(mean_amp, (*lead, 1, hw))), axis=-1)
 
 
 def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
@@ -305,16 +326,8 @@ def spectral_loss(student, teacher, cfg: SpectralConfig) -> ad.Node:
     s = _as_student_node(student)
     t = _as_teacher_node(teacher)
     _check_same_shape(s, t)
-    _check_maps(s)
-    h, w = s.value.shape[-2:]
-    r_max = r_max_for_grid(h, w)
-    if cfg.r0 > r_max:
-        raise ValueError(f"r0={cfg.r0} leaves no radii <= r_max={r_max}")
-    p_s = radial_spectrum(s)
-    p_t = radial_spectrum(t)
-    n_bins = r_max + 1 - cfg.r0
-    hi_s = ad.narrow(p_s, -1, cfg.r0, n_bins)
-    hi_t = ad.narrow(p_t, -1, cfg.r0, n_bins)
+    hi_s = radial_spectrum(s, cfg.r0)
+    hi_t = radial_spectrum(t, cfg.r0)
     diff = ad.sub(ad.log(ad.add(hi_t, cfg.eps_log)), ad.log(ad.add(hi_s, cfg.eps_log)))
     return ad.reduce_mean(ad.square(diff), axis=-1)
 

@@ -7,6 +7,7 @@ into each run directory and checkpoint, making artifacts self-describing.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -36,9 +37,12 @@ def _parse_value(key: str, raw: str):
     try:
         if kind == "int_tuple":
             return tuple(int(x) for x in raw.split(","))
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: value {raw!r} is not finite")
+    return value
 
 
 def parse_config_text(text: str) -> dict:
@@ -73,6 +77,9 @@ class RunConfig:
             r0 = self.distill.spectral_config(t_grid, t_grid).r0
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        up, down = self.adapter.upsample_factor, self.distill.downsample_factor
+        if up != down:  # the student's output grid is the teacher's only when they match
+            raise ConfigError(f"upsample_factor={up} must equal downsample_factor={down}")
         side, patch_size = self.distill.student_resolution, self.vit.patch_size
         if side % 16 or side % patch_size:  # adapter_forward needs sides divisible by 16
             raise ConfigError(f"student_resolution={side} must be a multiple of 16 "

@@ -63,6 +63,8 @@ class DistillConfig:
             raise ConfigError("batch_size/dataset_size must be >= 1, total_iters >= 0")
         if self.pca_k < 1 or self.lr <= 0:
             raise ConfigError("pca_k must be >= 1 and lr positive")
+        if self.seed < 0 or not 0 <= self.warmup_epochs < math.inf:
+            raise ConfigError("seed must be >= 0 and warmup_epochs finite and >= 0")
 
     @property
     def teacher_resolution(self) -> int:
@@ -88,14 +90,14 @@ class DistillConfig:
 # Adam with warmup
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: ModelParams) -> AdamState:
@@ -115,7 +117,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
             raise ValueError(f"gradient shape {g.shape} != parameter {name} "
                              f"shape {params[name].shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
@@ -125,7 +127,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        params.tensors[name] = p - (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        params.tensors[name] = p - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
 def warmup_lr(iteration: int, cfg: DistillConfig) -> float:

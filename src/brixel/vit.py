@@ -40,11 +40,13 @@ class ViTConfig:
     mlp_ratio: float = 4.0
 
     def __post_init__(self):
-        if self.embed_dim % self.heads:
+        if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
+                f"heads {self.heads} must be >= 1 and divide embed_dim {self.embed_dim}")
         if self.patch_size < 1 or self.depth < 0:
             raise ValueError("patch_size must be >= 1 and depth >= 0")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives {self.mlp_hidden} MLP units")
 
     @property
     def mlp_hidden(self) -> int:

@@ -106,7 +106,10 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["eps_log=0", "lambda_edge=-1", "lambda_spectral=-1",
-                                  "r0=100", "pca_k=40"])
+                                  "r0=100", "pca_k=40", "heads=0", "heads=-2",
+                                  "mlp_ratio=-1", "warmup_epochs=nan", "seed=-1",
+                                  "upsample_factor=2", "downsample_factor=2",
+                                  "grad_clip=nan", "lr=nan"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"

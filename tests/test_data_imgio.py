@@ -41,6 +41,9 @@ def test_ppm_rejects_garbage(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n\x00\x00")
     with pytest.raises(DataIOError, match="truncated"):
         read_ppm(p)
+    p.write_bytes(b"P6\n0 4\n255\n")
+    with pytest.raises(DataIOError):
+        read_ppm(p)
 
 
 def _decode_png(path):

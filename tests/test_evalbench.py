@@ -15,14 +15,12 @@ from brixel.evalbench import (
     miou_pixacc,
     pca_rgb,
     probe_predict,
-    student_param_count,
     upsample_baseline,
-    vit_param_count,
 )
 from brixel.losses import radial_spectrum
-from brixel.refiner import AdapterConfig, init_student
+from brixel.refiner import AdapterConfig
 from brixel.tensors import FeatureMap
-from brixel.vit import ViTConfig, init_backbone
+from brixel.vit import ViTConfig
 from oracles import loop_miou_pixacc, loop_radial_spectrum
 
 RNG = np.random.default_rng(77)
@@ -175,12 +173,6 @@ def test_attention_term_loglog_slope_is_two():
     ys = [attention_scores_macs(n, VIT.embed_dim) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(ys), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.01)
-
-
-def test_param_count_formulas_match_actual_inits():
-    assert vit_param_count(VIT) == sum(t.size for _, t in init_backbone(VIT, 0).items())
-    assert student_param_count(VIT, ADA) == sum(
-        t.size for _, t in init_student(VIT, ADA, 0).items())
 
 
 def test_peak_activation_quadratic_term():

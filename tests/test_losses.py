@@ -12,6 +12,7 @@ from brixel.losses import (
     l1_loss,
     loss_breakdown,
     project,
+    r_max_for_grid,
     radial_spectrum,
     sobel,
     spectral_loss,
@@ -314,6 +315,18 @@ def test_spectrum_float32_close_to_oracle():
     fm = rand_fm((2, 8, 8), np.random.default_rng(10), dtype=np.float32)
     mine = radial_spectrum(fm).value
     assert np.max(np.abs(mine - loop_radial_spectrum(fm.astype(np.float64)))) <= 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 8, 8), (2, 7, 9), (2, 3, 8, 12), (2, 3, 9, 7)])
+def test_spectrum_r0_is_the_tail_of_the_full_spectrum_bit_for_bit(shape, dtype):
+    fm = rand_fm(shape, np.random.default_rng(21), dtype)
+    full = radial_spectrum(fm).value
+    r_max = r_max_for_grid(*shape[-2:])
+    for r0 in (1, r_max):
+        tail = radial_spectrum(fm, r0).value
+        assert tail.shape == shape[:-3] + (r_max + 1 - r0,)
+        assert tail.tobytes() == np.ascontiguousarray(full[..., r0:]).tobytes(), r0
 
 
 # ---------------------------------------------------------------------------
