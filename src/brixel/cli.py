@@ -262,15 +262,23 @@ def _time_forward(fn, repeats: int = 1) -> float:
 
 
 def cmd_bench(args) -> int:
+    """Price and time one dense map per output grid: the teacher on the
+    full input, the student on the input downsampled by the configured
+    factor. Each grid must give a student side the config accepts."""
     cfg = _config_from_args(args)
     try:
         grids = [int(g) for g in args.sizes.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--sizes must be a comma list of grids, got {args.sizes!r}") from exc
-    p = cfg.vit.patch_size
+    p, f = cfg.vit.patch_size, cfg.adapter.upsample_factor
     for g in grids:
-        if g % 4:
-            raise ConfigError(f"output grid {g} must be divisible by 4 (the 4x protocol)")
+        if g < 1 or g * p % f:
+            raise ConfigError(f"output grid {g} must be >= 1, and grid*patch_size={g * p} "
+                              f"divisible by upsample_factor={f}")
+        try:
+            cfg.with_distill(student_resolution=g * p // f)
+        except ConfigError as exc:
+            raise ConfigError(f"output grid {g}: {exc}") from exc
 
     reports = [flop_model(cfg.vit, cfg.adapter, g * p) for g in grids]
     timings = {}
@@ -282,7 +290,7 @@ def cmd_bench(args) -> int:
             continue  # analytic columns still cover this size
         side = g * p
         hi = ImageTensor(rng.random((3, side, side)).astype(np.float32))
-        low = resize_bilinear(hi, side // 4, side // 4, antialias=True)
+        low = resize_bilinear(hi, side // f, side // f, antialias=True)
         t_teacher = _time_forward(lambda: vit_forward(hi, cfg.vit, backbone))
         t_student = _time_forward(
             lambda: student_feature_map(low, cfg.vit, cfg.adapter, backbone, student))

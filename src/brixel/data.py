@@ -8,8 +8,6 @@ for the toy segmentation probe.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +15,6 @@ import numpy as np
 from .errors import DataIOError
 from .imgio import read_ppm
 from .tensors import F32, ImageTensor, resize_bilinear
-
-
-def worker_threads() -> int:
-    """Worker-thread cap from BRIXEL_THREADS; 0/unset means sequential."""
-    raw = os.environ.get("BRIXEL_THREADS", "")
-    try:
-        return max(0, int(raw)) if raw else 0
-    except ValueError:
-        return 0
 
 
 def _polygon_mask(rng, h: int, w: int) -> np.ndarray:
@@ -135,22 +124,12 @@ def load_image(path, resolution: int) -> ImageTensor:
 
 
 def load_directory(path, resolution: int) -> list[tuple[str, ImageTensor]]:
-    """All *.ppm files under ``path``, each loaded by :func:`load_image`.
-
-    Decoding may run on BRIXEL_THREADS workers; results keep filename order.
-    """
+    """All *.ppm files under ``path`` in filename order, each loaded by
+    :func:`load_image`."""
     root = Path(path)
     if not root.is_dir():
         raise DataIOError(f"data directory not found: {root}")
     files = sorted(root.glob("*.ppm"))
     if not files:
         raise DataIOError(f"no .ppm images in {root}")
-
-    def decode(p: Path):
-        return p.stem, load_image(p, resolution)
-
-    threads = worker_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(decode, files))
-    return [decode(p) for p in files]
+    return [(p.stem, load_image(p, resolution)) for p in files]

@@ -166,13 +166,15 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     """Cost of one dense map at grid input_size/patch_size.
 
     Teacher: the backbone at ``input_size``. Student: the backbone plus
-    adapter and head on the 4x-downsampled input, emitting the same grid.
+    adapter and head on the input downsampled by ``upsample_factor``,
+    emitting the same grid.
     """
-    p = vit_cfg.patch_size
-    if input_size % (4 * p):
-        raise ValueError(f"input_size {input_size} must be divisible by 4*patch_size={4 * p}")
+    p, f = vit_cfg.patch_size, adapter_cfg.upsample_factor
+    if input_size % (f * p):
+        raise ValueError(f"input_size {input_size} must be divisible by "
+                         f"upsample_factor*patch_size={f * p}")
     grid = input_size // p
-    student_side = input_size // 4
+    student_side = input_size // f
 
     t_total, t_scores, t_peak = _vit_macs(vit_cfg, input_size)
     s_backbone, _, s_peak_vit = _vit_macs(vit_cfg, student_side)
@@ -183,20 +185,20 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
                + _conv_macs(3, p0, p1, s // 8) + _conv_macs(3, p1, p2, s // 16))
 
     c = vit_cfg.embed_dim
-    f = adapter_cfg.fusion_channels
+    fc = adapter_cfg.fusion_channels
     g = student_side // p  # fusion grid
-    head = _conv_macs(1, c + p0 + p1 + p2, f, g)
-    head += adapter_cfg.head_blocks * 2 * _conv_macs(3, f, f, g)
+    head = _conv_macs(1, c + p0 + p1 + p2, fc, g)
+    head += adapter_cfg.head_blocks * 2 * _conv_macs(3, fc, fc, g)
     for j in range(adapter_cfg.upsample_stages):
-        head += _conv_macs(3, f, 4 * f, g * 2 ** j)
-    head += _conv_macs(1, f, c, grid)
+        head += _conv_macs(3, fc, 4 * fc, g * 2 ** j)
+    head += _conv_macs(1, fc, c, grid)
 
     peak_student = max(
         s_peak_vit,
         3 * s * s,
         p0 * (s // 2) ** 2,
         (c + p0 + p1 + p2) * g * g,
-        4 * f * (g * 2 ** max(0, adapter_cfg.upsample_stages - 1)) ** 2,
+        4 * fc * (g * 2 ** max(0, adapter_cfg.upsample_stages - 1)) ** 2,
         c * grid * grid,
     )
     return CostReport(

@@ -183,15 +183,6 @@ def _basis_coordinates(x: ad.Node, p: PcaProjection) -> ad.Node:
     return ad.transpose(ad.reshape(coords, (*lead, h, w, p.k)), batch + (b + 2, b, b + 1))
 
 
-def project(fm, p: PcaProjection) -> ad.Node:
-    """Token-wise map t -> V_K^T (t - mu); output (..., K, H, W). No gradient
-    reaches the projection itself."""
-    x = _as_student_node(fm)
-    _check_channels(x, p)
-    mean = p.mean.astype(x.value.dtype).reshape(-1, 1, 1)
-    return _basis_coordinates(ad.sub(x, ad.constant(mean)), p)
-
-
 # ---------------------------------------------------------------------------
 # Sobel / edge loss
 # ---------------------------------------------------------------------------

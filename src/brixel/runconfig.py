@@ -8,7 +8,9 @@ into each run directory and checkpoint, making artifacts self-describing.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 from .errors import ConfigError
 from .losses import r_max_for_grid
@@ -16,26 +18,20 @@ from .refiner import PYRAMID_STRIDES, AdapterConfig
 from .training import DistillConfig
 from .vit import ViTConfig
 
-_VIT_KEYS = {
-    "patch_size": int, "embed_dim": int, "depth": int, "heads": int, "mlp_ratio": float,
-}
-_ADAPTER_KEYS = {
-    "pyramid_channels": "int_tuple", "fusion_channels": int,
-    "head_blocks": int, "upsample_factor": int,
-}
-_DISTILL_KEYS = {
-    "student_resolution": int, "downsample_factor": int, "lambda_edge": float,
-    "lambda_spectral": float, "pca_k": int, "lr": float, "warmup_epochs": float,
-    "total_iters": int, "batch_size": int, "dataset_size": int, "seed": int,
-    "teacher_source": str, "r0": int, "eps_log": float, "grad_clip": float,
-}
-ALL_KEYS = {**_VIT_KEYS, **_ADAPTER_KEYS, **_DISTILL_KEYS}
+_SECTIONS = (ViTConfig, AdapterConfig, DistillConfig)
+# each field of a section class is one config key, parsed as its annotated type
+_KEY_TYPES = {f.name: get_type_hints(cls)[f.name] for cls in _SECTIONS for f in fields(cls)}
+
+
+def _check_known(key: str) -> None:
+    if key not in _KEY_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
 
 
 def _parse_value(key: str, raw: str):
-    kind = ALL_KEYS[key]
+    kind = _KEY_TYPES[key]
     try:
-        if kind == "int_tuple":
+        if get_origin(kind) is tuple:
             return tuple(int(x) for x in raw.split(","))
         value = kind(raw)
     except ValueError as exc:
@@ -55,8 +51,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+        _check_known(key)
         values[key] = _parse_value(key, raw.strip())
     return values
 
@@ -66,11 +61,12 @@ class RunConfig:
 
     def __init__(self, values: dict | None = None):
         values = dict(values or {})
+        for key in values:
+            _check_known(key)
         try:
-            self.vit = ViTConfig(**{k: values.pop(k) for k in list(values) if k in _VIT_KEYS})
-            self.adapter = AdapterConfig(
-                **{k: values.pop(k) for k in list(values) if k in _ADAPTER_KEYS})
-            self.distill = DistillConfig(**values)
+            self.vit, self.adapter, self.distill = (
+                cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+                for cls in _SECTIONS)
             # build the loss settings train_step builds, on the teacher grid
             self.distill.loss_weights()
             t_grid = self.distill.teacher_resolution // self.vit.patch_size
@@ -110,17 +106,11 @@ class RunConfig:
         return RunConfig(values)
 
     def as_dict(self) -> dict:
-        out = {}
-        for owner, keys in ((self.vit, _VIT_KEYS), (self.adapter, _ADAPTER_KEYS),
-                            (self.distill, _DISTILL_KEYS)):
-            for key in keys:
-                out[key] = getattr(owner, key)
-        return out
+        return {**asdict(self.vit), **asdict(self.adapter), **asdict(self.distill)}
 
     def resolved_text(self) -> str:
         lines = []
-        for key in sorted(self.as_dict()):
-            value = self.as_dict()[key]
+        for key, value in sorted(self.as_dict().items()):
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
             lines.append(f"{key}={value}")

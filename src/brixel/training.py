@@ -65,6 +65,8 @@ class DistillConfig:
             raise ConfigError("pca_k must be >= 1 and lr positive")
         if self.seed < 0 or not 0 <= self.warmup_epochs < math.inf:
             raise ConfigError("seed must be >= 0 and warmup_epochs finite and >= 0")
+        if self.r0 < 0:
+            raise ConfigError(f"r0={self.r0} must be >= 0 (0 picks the half-Nyquist default)")
 
     @property
     def teacher_resolution(self) -> int:
@@ -82,8 +84,7 @@ class DistillConfig:
         return LossWeights(edge=self.lambda_edge, spectral=self.lambda_spectral)
 
     def spectral_config(self, grid_h: int, grid_w: int) -> SpectralConfig:
-        r0 = self.r0 if self.r0 > 0 else default_r0(grid_h, grid_w)
-        return SpectralConfig(r0=r0, eps_log=self.eps_log)
+        return SpectralConfig(r0=self.r0 or default_r0(grid_h, grid_w), eps_log=self.eps_log)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +274,15 @@ def load_checkpoint(ckpt_dir, template: ModelParams) -> tuple[ModelParams, AdamS
         tensors[name] = tensor
         m[name] = load_tensor(root / "adam" / "m" / f"{name}.brxt")
         v[name] = load_tensor(root / "adam" / "v" / f"{name}.brxt")
-    state_lines = dict(line.split("\t") for line in
-                       (root / "state.txt").read_text().splitlines() if line.strip())
-    adam = AdamState(m=m, v=v, t=int(state_lines["adam_t"]))
-    return ModelParams(tensors, trainable=True), adam, int(state_lines["iter"])
+    state_path = root / "state.txt"
+    try:
+        state = dict(line.split("\t") for line in state_path.read_text().splitlines()
+                     if line.strip())
+        iteration, adam_t = int(state["iter"]), int(state["adam_t"])
+    except (KeyError, ValueError) as exc:
+        raise DataIOError(f"damaged checkpoint state {state_path}: {exc!r}") from exc
+    adam = AdamState(m=m, v=v, t=adam_t)
+    return ModelParams(tensors, trainable=True), adam, iteration
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "r0=100", "pca_k=40", "heads=0", "heads=-2",
                                   "mlp_ratio=-1", "warmup_epochs=nan", "seed=-1",
                                   "upsample_factor=2", "downsample_factor=2",
-                                  "grad_clip=nan", "lr=nan"])
+                                  "grad_clip=nan", "lr=nan", "r0=-5"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"
@@ -271,6 +271,19 @@ def test_eval_missing_checkpoint_exit_3(tmp_path):
                  "synthetic", "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("state", ["iter\t4\n", "iter\t4\nadam_t\n"])
+def test_damaged_checkpoint_state_exit_3(tmp_path, cfg_file, trained, capsys, state):
+    ckpt = trained / "checkpoints" / "latest"
+    (ckpt / "state.txt").write_text(state)
+    resume = main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                   "--out", str(trained), "--resume"])
+    evaluated = main(["eval", "--checkpoint", str(ckpt), "--data", "synthetic",
+                      "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert (resume, evaluated) == (3, 3)
+    assert err.count("io error:") == 2 and "state.txt" in err and "Traceback" not in err
+
+
 def test_viz_panels_follow_4x_protocol(tmp_path, trained):
     rng = np.random.default_rng(0)
     img = tmp_path / "photo.ppm"
@@ -341,5 +354,7 @@ def test_bench_table_contract(tmp_path, cfg_file, capsys):
     assert capsys.readouterr().out.startswith("# FLOP convention")
 
 
-def test_bench_rejects_bad_grid(tmp_path, cfg_file):
-    assert main(["bench", "--config", str(cfg_file), "--sizes", "15"]) == 2
+@pytest.mark.parametrize("size", ["15", "4", "0", "-4"])
+def test_bench_rejects_bad_grid(tmp_path, cfg_file, capsys, size):
+    assert main(["bench", "--config", str(cfg_file), "--sizes", size]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -9,7 +9,6 @@ from brixel.data import (
     synthetic_dataset,
     synthetic_image,
     two_region_dataset,
-    worker_threads,
 )
 from brixel.errors import DataIOError
 from brixel.imgio import image_to_rgb8, read_ppm, rgb8_to_image, write_png, write_ppm
@@ -145,17 +144,3 @@ def test_load_directory_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(DataIOError):
         load_directory(empty, 32)
-
-
-def test_load_directory_threaded_matches_sequential(tmp_path, monkeypatch):
-    rng = np.random.default_rng(7)
-    for i in range(4):
-        rgb = rng.integers(0, 256, size=(32, 32, 3), dtype=np.uint8)
-        write_ppm(tmp_path / f"t{i}.ppm", rgb)
-    seq = load_directory(tmp_path, 32)
-    monkeypatch.setenv("BRIXEL_THREADS", "3")
-    assert worker_threads() == 3
-    par = load_directory(tmp_path, 32)
-    assert [s for s, _ in seq] == [s for s, _ in par]
-    for (_, a), (_, b) in zip(seq, par):
-        assert a.data.tobytes() == b.data.tobytes()

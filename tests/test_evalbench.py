@@ -182,6 +182,12 @@ def test_peak_activation_quadratic_term():
     assert b.peak_act_teacher == 16 * a.peak_act_teacher
 
 
+def test_flop_model_student_runs_on_the_configured_factor():
+    # both students see a 128x128 input: 256 / 2 and 512 / 4
+    half = flop_model(VIT, AdapterConfig(upsample_factor=2), 256)
+    assert half.macs_student_backbone == flop_model(VIT, ADA, 512).macs_student_backbone
+
+
 def test_flop_model_rejects_bad_size():
     with pytest.raises(ValueError):
         flop_model(VIT, ADA, 100)

@@ -11,7 +11,6 @@ from brixel.losses import (
     fit_pca,
     l1_loss,
     loss_breakdown,
-    project,
     r_max_for_grid,
     radial_spectrum,
     sobel,
@@ -73,7 +72,7 @@ def test_fit_pca_hand_case():
     p = fit_pca(tokens, 1)
     assert np.allclose(p.mean, [0.0, 0.0])
     assert np.allclose(p.basis[:, 0], [1.0, 0.0])  # sign rule picks +e0
-    proj = project(np.ascontiguousarray(tokens.T.reshape(2, 1, 2)), p).value
+    proj = (tokens - p.mean) @ p.basis
     assert np.allclose(proj.reshape(2), [1.0, -1.0])
 
 
@@ -126,39 +125,6 @@ def test_fit_pca_deterministic_sign():
     for j in range(3):
         col = a.basis[:, j]
         assert col[np.argmax(np.abs(col))] > 0
-
-
-# ---------------------------------------------------------------------------
-# project
-# ---------------------------------------------------------------------------
-
-def test_project_centering_and_orthonormality():
-    rng = np.random.default_rng(4)
-    tokens = rng.standard_normal((100, 6))
-    p = fit_pca(tokens, 3)
-    mu_map = np.tile(p.mean.reshape(6, 1, 1), (1, 2, 2))
-    assert np.max(np.abs(project(mu_map, p).value)) <= 1e-6
-    one = (p.mean + p.basis[:, 0]).reshape(6, 1, 1)
-    out = project(np.ascontiguousarray(one), p).value.reshape(3)
-    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-5)
-
-
-def test_project_matches_token_loop():
-    rng = np.random.default_rng(5)
-    tokens = rng.standard_normal((200, 5))
-    p = fit_pca(tokens, 2)
-    fm = rand_fm((5, 3, 4), rng)
-    got = project(fm, p).value
-    for y in range(3):
-        for x in range(4):
-            expect = p.basis.T @ (fm[:, y, x] - p.mean)
-            assert np.max(np.abs(got[:, y, x] - expect)) <= 1e-6
-
-
-def test_project_channel_mismatch():
-    p = fit_pca(np.random.default_rng(6).standard_normal((10, 4)), 2)
-    with pytest.raises(ValueError):
-        project(np.zeros((5, 2, 2)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +452,6 @@ def test_stacked_maps_match_per_map_bits(shape, dtype):
         "spectral": lambda a, b: spectral_loss(a, b, cfg),
         "total": lambda a, b: total_loss(a, b, p, LossWeights(), cfg),
         "breakdown.edge": lambda a, b: loss_breakdown(a, b, p, LossWeights(), cfg)[1]["edge"],
-        "project": lambda a, b: project(a, p),
         "sobel.x": lambda a, b: sobel(a)[0],
         "sobel.y": lambda a, b: sobel(a)[1],
         "radial_spectrum": lambda a, b: radial_spectrum(a),

@@ -25,6 +25,13 @@ def test_parse_rejects_unknown_key():
         parse_config_text("frobnicate=3\n")
 
 
+def test_runconfig_rejects_unknown_key():
+    with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
+        RunConfig({"frobnicate": 1})
+    with pytest.raises(ConfigError, match="unknown config key 'frobnicate'"):
+        RunConfig().with_distill(frobnicate=1)
+
+
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ConfigError, match="key=value"):
         parse_config_text("just some words\n")
