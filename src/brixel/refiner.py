@@ -13,13 +13,13 @@ The global residual means a zero final projection reproduces the
 nearest-upsampled backbone map exactly; initialization scales the final
 projection by 0.01 so training starts near that baseline.
 
-``adapter_forward`` and ``head_forward`` take one image and one (C, H, W)
-backbone map, or a stack of N of each with a leading batch axis; training
-runs the whole batch as one graph. A single image is the N=1 case of the
-same code. Each sample of a stack matches its single-image output bit for
-bit wherever BLAS treats each sample's GEMM columns alike (every layer of
-the desk configuration); layers of a few pixels may use other small-size
-kernels and differ in the last bits.
+``adapter_forward`` and ``head_forward`` take an (N, ...) stack of images
+and backbone maps with a dict of parameter nodes; training runs the whole
+batch as one graph. ``student_forward`` lifts one image to the N=1 stack
+and drops the batch axis again. Each sample of a stack matches its
+single-image output bit for bit wherever BLAS treats each sample's GEMM
+columns alike (every layer of the desk configuration); layers of a few
+pixels may use other small-size kernels and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -87,35 +87,21 @@ def init_student(vit_cfg: ViTConfig, cfg: AdapterConfig, seed: int, dtype=F32) -
     return ModelParams(w, trainable=True)
 
 
-def _as_node_dict(params) -> dict[str, ad.Node]:
-    if isinstance(params, ModelParams):
-        return {k: ad.constant(v) for k, v in params.items()}
-    return params
-
-
-def adapter_forward(img_low, cfg: AdapterConfig, params) -> list[ad.Node]:
-    """Image-branch pyramid over one ``ImageTensor`` or an (N, 3, h, w)
-    stack. Level l has spatial size (h/s_l, w/s_l) for strides 4/8/16
-    relative to the low-resolution image, with shape (C_l, ...) for one image
-    and (N, C_l, ...) for a stack; the backbone output plays no role here."""
-    data = img_low.data if isinstance(img_low, ImageTensor) else np.asarray(img_low)
-    h, wd = data.shape[-2:]
+def adapter_forward(images: np.ndarray, cfg: AdapterConfig,
+                    w: dict[str, ad.Node]) -> list[ad.Node]:
+    """Image-branch pyramid over an (N, 3, h, w) stack of low-resolution
+    images. Level l has shape (N, C_l, h/s_l, w/s_l) for strides 4/8/16; the
+    backbone output plays no role here."""
+    h, wd = images.shape[-2:]
     if h % 16 or wd % 16:
         raise ValueError(f"adapter input sides {(h, wd)} must be divisible by 16")
-    w = _as_node_dict(params)
-    dtype = w["adapter.conv1.w"].value.dtype
-    stacked = data.ndim == 4
-    x = ad.constant((data if stacked else data[None]).astype(dtype))
-    x = ad.gelu(ad.conv2d(x, w["adapter.conv1.w"], w["adapter.conv1.b"], stride=2, padding=1))
-    x = ad.gelu(ad.conv2d(x, w["adapter.conv2.w"], w["adapter.conv2.b"], stride=2, padding=1))
-    lvl4 = x
-    x = ad.gelu(ad.conv2d(x, w["adapter.conv3.w"], w["adapter.conv3.b"], stride=2, padding=1))
-    lvl8 = x
-    x = ad.gelu(ad.conv2d(x, w["adapter.conv4.w"], w["adapter.conv4.b"], stride=2, padding=1))
-    lvl16 = x
-    if stacked:
-        return [lvl4, lvl8, lvl16]
-    return [ad.reshape(l, l.value.shape[1:]) for l in (lvl4, lvl8, lvl16)]
+    x = ad.constant(np.asarray(images, dtype=w["adapter.conv1.w"].value.dtype))
+    levels = []
+    for i in range(1, 5):
+        x = ad.gelu(ad.conv2d(x, w[f"adapter.conv{i}.w"], w[f"adapter.conv{i}.b"],
+                              stride=2, padding=1))
+        levels.append(x)
+    return levels[1:]
 
 
 def _to_grid(x: ad.Node, grid: tuple[int, int]) -> ad.Node:
@@ -134,30 +120,20 @@ def _to_grid(x: ad.Node, grid: tuple[int, int]) -> ad.Node:
     return ad.upsample_nearest(x, gh // h)
 
 
-def head_forward(backbone_fm, pyramid: list[ad.Node], cfg: AdapterConfig, params) -> ad.Node:
+def head_forward(backbone_maps: np.ndarray, pyramid: list[ad.Node], cfg: AdapterConfig,
+                 w: dict[str, ad.Node]) -> ad.Node:
     """Fuse frozen backbone tokens with the pyramid and emit the upscaled map.
 
-    Output shape is (C, f*H, f*W) for a (C, H, W) backbone map and
-    upsample factor f, or (N, C, f*H, f*W) for an (N, C, H, W) stack with
-    (N, C_l, ...) pyramid levels; a constructed zero final projection
-    bypasses the head entirely, leaving nearest-upsampled backbone features.
+    An (N, C, H, W) stack of backbone maps and (N, C_l, ...) pyramid levels
+    give (N, C, f*H, f*W) for upsample factor f; a constructed zero final
+    projection bypasses the head entirely, leaving nearest-upsampled
+    backbone features.
     """
-    w = _as_node_dict(params)
-    if isinstance(backbone_fm, FeatureMap):
-        backbone_fm = backbone_fm.data
-    bb = ad.as_node(backbone_fm)
-    if bb.value.ndim not in (3, 4):
-        raise ValueError(f"backbone map must be (C, H, W) or (N, C, H, W), got {bb.value.shape}")
+    bb = ad.constant(np.asarray(backbone_maps, dtype=w["head.fuse.w"].value.dtype))
     c, gh, gw = bb.value.shape[-3:]
     if w["head.out.w"].value.shape[0] != c:
         raise ValueError(
             f"head emits {w['head.out.w'].value.shape[0]} channels, backbone has {c}")
-    single = bb.value.ndim == 3
-    if single:
-        bb = ad.reshape(bb, (1, c, gh, gw))
-        pyramid = [ad.reshape(l, (1, *l.value.shape)) for l in pyramid]
-    if bb.value.dtype != w["head.fuse.w"].value.dtype:
-        bb = ad.constant(bb.value.astype(w["head.fuse.w"].value.dtype))
 
     base = ad.upsample_nearest(bb, cfg.upsample_factor)
     feats = ad.concat([bb] + [_to_grid(l, (gh, gw)) for l in pyramid], axis=1)
@@ -170,22 +146,25 @@ def head_forward(backbone_fm, pyramid: list[ad.Node], cfg: AdapterConfig, params
     for j in range(cfg.upsample_stages):
         h = ad.gelu(ad.pixel_shuffle(
             ad.conv2d(h, w[f"head.up{j}.w"], w[f"head.up{j}.b"], padding=1), 2))
-    delta = ad.conv2d(h, w["head.out.w"], w["head.out.b"])
-    out = base + delta
-    return ad.reshape(out, out.value.shape[1:]) if single else out
+    return base + ad.conv2d(h, w["head.out.w"], w["head.out.b"])
 
 
 def student_forward(img_low: ImageTensor, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                    frozen_w: ModelParams, params) -> ad.Node:
-    """Full student: frozen backbone on the low-res image + refiner + head.
+                    frozen_w: ModelParams, params: ModelParams | dict[str, ad.Node]) -> ad.Node:
+    """Full student on one image: frozen backbone on the low-res image +
+    refiner + head, a (C, f*H, f*W) node.
 
-    The backbone branch is computed without gradient tracking (its weights
-    are frozen and the image is not trainable), so gradients only ever reach
-    the refiner/head parameters.
+    ``params`` is a ``ModelParams`` (lifted to constants) or the graph nodes
+    of ``ModelParams.as_nodes``. The backbone branch is computed without
+    gradient tracking (its weights are frozen and the image is not
+    trainable), so gradients only ever reach the refiner/head parameters.
     """
+    if isinstance(params, ModelParams):
+        params = {k: ad.constant(v) for k, v in params.items()}
     bb = vit_forward(img_low, vit_cfg, frozen_w)
-    pyramid = adapter_forward(img_low, adapter_cfg, params)
-    return head_forward(bb, pyramid, adapter_cfg, params)
+    pyramid = adapter_forward(img_low.data[None], adapter_cfg, params)
+    out = head_forward(bb.data[None], pyramid, adapter_cfg, params)
+    return ad.reshape(out, out.value.shape[1:])
 
 
 def student_feature_map(img_low: ImageTensor, vit_cfg: ViTConfig,

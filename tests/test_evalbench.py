@@ -268,8 +268,9 @@ def test_bypass_student_cosine_close_to_upsample_baseline():
     teacher = vit_forward(img, vit_cfg, backbone)
     low = resize_bilinear(img, 32, 32, antialias=True)
     low_fm = vit_forward(low, vit_cfg, backbone)
-    bypass = FeatureMap(head_forward(low_fm, adapter_forward(low, ada_cfg, params),
-                                     ada_cfg, params).value)
+    nodes = params.as_nodes()
+    pyramid = adapter_forward(low.data[None], ada_cfg, nodes)
+    bypass = FeatureMap(head_forward(low_fm.data[None], pyramid, ada_cfg, nodes).value[0])
     cos_bypass = fidelity(bypass, teacher).cosine
     cos_baseline = fidelity(upsample_baseline(low_fm, 4), teacher).cosine
     assert abs(cos_bypass - cos_baseline) <= 0.05

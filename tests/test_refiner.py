@@ -31,21 +31,23 @@ def test_adapter_config_validation():
 
 def test_pyramid_level_sizes():
     params = init_student(VIT, ADA, seed=0)
-    levels = adapter_forward(rand_image(np.random.default_rng(0), 64, 64), ADA, params)
-    assert [l.value.shape for l in levels] == [(8, 16, 16), (8, 8, 8), (8, 4, 4)]
+    levels = adapter_forward(rand_image(np.random.default_rng(0), 64, 64).data[None], ADA,
+                             params.as_nodes())
+    assert [l.value[0].shape for l in levels] == [(8, 16, 16), (8, 8, 8), (8, 4, 4)]
 
 
 def test_adapter_rejects_indivisible_sides():
     params = init_student(VIT, ADA, seed=0)
     with pytest.raises(ValueError):
-        adapter_forward(rand_image(np.random.default_rng(0), 40, 64), ADA, params)
+        adapter_forward(rand_image(np.random.default_rng(0), 40, 64).data[None], ADA,
+                        params.as_nodes())
 
 
 def test_zero_image_levels_finite():
     params = init_student(VIT, ADA, seed=1)
     img = ImageTensor(np.zeros((3, 32, 32), dtype=F32))
-    for lvl in adapter_forward(img, ADA, params):
-        assert np.all(np.isfinite(lvl.value))
+    for lvl in adapter_forward(img.data[None], ADA, params.as_nodes()):
+        assert np.all(np.isfinite(lvl.value[0]))
 
 
 def test_receptive_field_locality_of_stride4_level():
@@ -55,8 +57,8 @@ def test_receptive_field_locality_of_stride4_level():
     pert = base.copy()
     y, x = 33, 18
     pert[:, y, x] = np.clip(pert[:, y, x] + 0.3, 0, 1)
-    l0 = adapter_forward(ImageTensor(base), ADA, params)[0].value
-    l1 = adapter_forward(ImageTensor(pert), ADA, params)[0].value
+    l0 = adapter_forward(base[None], ADA, params.as_nodes())[0].value[0]
+    l1 = adapter_forward(pert[None], ADA, params.as_nodes())[0].value[0]
     changed = np.any(np.abs(l1 - l0) > 0, axis=0)
     ys, xs = np.nonzero(changed)
     assert ys.size > 0  # the perturbation is visible
@@ -70,9 +72,10 @@ def test_head_output_is_teacher_grid():
     img = rand_image(rng, 64, 64)
     backbone = vit_forward(img, VIT, init_backbone(VIT, seed=0))
     assert backbone.grid == (8, 8)
-    pyramid = adapter_forward(img, ADA, params)
-    out = head_forward(backbone, pyramid, ADA, params)
-    assert out.value.shape == (16, 32, 32)
+    nodes = params.as_nodes()
+    pyramid = adapter_forward(img.data[None], ADA, nodes)
+    out = head_forward(backbone.data[None], pyramid, ADA, nodes)
+    assert out.value[0].shape == (16, 32, 32)
 
 
 def test_gradient_reaches_every_student_tensor():
@@ -96,8 +99,9 @@ def test_bypass_initialization_reproduces_nearest_upsampled_backbone():
     rng = np.random.default_rng(9)
     backbone = FeatureMap(rng.standard_normal((16, 8, 8)).astype(F32))
     img = rand_image(rng, 64, 64)
-    pyramid = adapter_forward(img, ADA, params)
-    out = head_forward(backbone, pyramid, ADA, params).value
+    nodes = params.as_nodes()
+    pyramid = adapter_forward(img.data[None], ADA, nodes)
+    out = head_forward(backbone.data[None], pyramid, ADA, nodes).value[0]
     nearest = backbone.data.repeat(4, axis=1).repeat(4, axis=2)
     assert np.array_equal(out, nearest)
 
@@ -126,10 +130,11 @@ def test_head_depends_on_backbone_only_through_its_argument():
     rng = np.random.default_rng(16)
     img = rand_image(rng, 64, 64)
     fixed_fm = FeatureMap(rng.standard_normal((16, 8, 8)).astype(F32))
-    pyramid = adapter_forward(img, ADA, params)
-    out1 = head_forward(fixed_fm, pyramid, ADA, params).value
-    pyramid = adapter_forward(img, ADA, params)
-    out2 = head_forward(fixed_fm, pyramid, ADA, params).value
+    nodes = params.as_nodes()
+    pyramid = adapter_forward(img.data[None], ADA, nodes)
+    out1 = head_forward(fixed_fm.data[None], pyramid, ADA, nodes).value[0]
+    pyramid = adapter_forward(img.data[None], ADA, nodes)
+    out2 = head_forward(fixed_fm.data[None], pyramid, ADA, nodes).value[0]
     assert np.array_equal(out1, out2)
 
 
@@ -137,10 +142,11 @@ def test_head_channel_mismatch_rejected():
     params = init_student(VIT, ADA, seed=17)
     rng = np.random.default_rng(18)
     img = rand_image(rng, 64, 64)
-    pyramid = adapter_forward(img, ADA, params)
+    nodes = params.as_nodes()
+    pyramid = adapter_forward(img.data[None], ADA, nodes)
     wrong = FeatureMap(rng.standard_normal((12, 8, 8)).astype(F32))
     with pytest.raises(ValueError):
-        head_forward(wrong, pyramid, ADA, params)
+        head_forward(wrong.data[None], pyramid, ADA, nodes)
 
 
 def test_student_params_disjoint_from_backbone():
