@@ -2,9 +2,9 @@
 
 The op set is exactly what the refiner/head and the three distillation
 losses reach (the frozen ViT runs tape-free, in plain numpy): elementwise
-arithmetic, (broadcasting) matmul, shape ops, sums, the amplitude of an
-orthonormal real 2-d FFT, 2-d convolution, pooling/upsampling/pixel-shuffle
-and GELU. The two composites, ``reduce_mean`` and a ``layer_norm`` over the
+arithmetic, (broadcasting) matmul, reshape and concat, sums, the amplitude
+of an orthonormal real 2-d FFT, 2-d convolution,
+pooling/upsampling/pixel-shuffle and GELU. The two composites, ``reduce_mean`` and a ``layer_norm`` over the
 channel axis, are built from the primitives so their gradients come for
 free. ``conv2d`` pads inside the op and folds the batch into the GEMM column
 axis, so a batch costs one GEMM forward and one each for the weight and
@@ -259,14 +259,6 @@ def reshape(a, shape) -> Node:
     a = as_node(a)
     out = a.value.reshape(shape)
     return _record(out, [(a, lambda g: g.reshape(a.value.shape))])
-
-
-def transpose(a, axes) -> Node:
-    a = as_node(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _record(np.ascontiguousarray(a.value.transpose(axes)),
-                   [(a, lambda g: np.ascontiguousarray(g.transpose(inv)))])
 
 
 def concat(parts, axis: int = 0) -> Node:

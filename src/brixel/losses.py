@@ -175,12 +175,10 @@ def _check_channels(x: ad.Node, p: PcaProjection):
 def _basis_coordinates(x: ad.Node, p: PcaProjection) -> ad.Node:
     """Token-wise map x -> V_K^T x, (..., C, H, W) -> (..., K, H, W)."""
     *lead, c, h, w = x.value.shape
-    b = len(lead)
-    batch = tuple(range(b))
-    tokens = ad.reshape(ad.transpose(x, batch + (b + 1, b + 2, b)), (*lead, h * w, c))
-    # a stack runs as one (H*W, C) @ (C, K) product per map, as a single map does
-    coords = ad.matmul(tokens, ad.constant(p.basis.astype(x.value.dtype)))
-    return ad.transpose(ad.reshape(coords, (*lead, h, w, p.k)), batch + (b + 2, b, b + 1))
+    # a stack runs as one (K, C) @ (C, H*W) product per map, as a single map does
+    coords = ad.matmul(ad.constant(p.basis.T, dtype=x.value.dtype),
+                       ad.reshape(x, (*lead, c, h * w)))
+    return ad.reshape(coords, (*lead, p.k, h, w))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Everything here is deliberately written as slow, obvious loops (or closed
 forms) that do not touch the library's own computational paths. The
 exceptions are references built from the library's own pieces in a simpler
 arrangement: ``autodiff_vit_tokens`` builds the frozen ViT forward from
-``brixel.autodiff`` ops, one graph node per op (the attention softmax, which
-no training path needs, is two numpy lines on the score values in the same
-op order), which the tape-free numpy forward in ``brixel.vit`` must match
-bit for bit; ``per_sample_step`` runs a training step's forward and backward
-one image at a time, which the batched ``brixel.training.train_step`` must
-match; ``backward_keeping_nodes`` is the backward walk that frees nothing.
+``brixel.autodiff`` ops, one graph node per op (the attention softmax and the
+head and token transposes, which no training path needs, are numpy lines on
+the values in the same op order), which the tape-free numpy forward in
+``brixel.vit`` must match bit for bit; ``per_sample_step`` runs a training
+step's forward and backward one image at a time, which the batched
+``brixel.training.train_step`` must match; ``backward_keeping_nodes`` is the
+backward walk that frees nothing.
 """
 
 import cmath
@@ -160,13 +161,17 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         q = ad.matmul(x, w[pre + "attn.wq"]) + w[pre + "attn.bq"]
         k = ad.matmul(x, w[pre + "attn.wk"]) + w[pre + "attn.bk"]
         v = ad.matmul(x, w[pre + "attn.wv"]) + w[pre + "attn.bv"]
-        q = ad.transpose(ad.reshape(q, (n, heads, dh)), (1, 0, 2))
-        k = ad.transpose(ad.reshape(k, (n, heads, dh)), (1, 2, 0))
-        v = ad.transpose(ad.reshape(v, (n, heads, dh)), (1, 0, 2))
+        def split_heads(t, axes):
+            return ad.constant(np.ascontiguousarray(t.value.reshape(n, heads, dh).transpose(axes)))
+
+        q = split_heads(q, (1, 0, 2))
+        k = split_heads(k, (1, 2, 0))
+        v = split_heads(v, (1, 0, 2))
         scores = (ad.matmul(q, k) * (1.0 / np.sqrt(dh))).value
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         attn = ad.constant(e / e.sum(axis=-1, keepdims=True))
-        out = ad.reshape(ad.transpose(ad.matmul(attn, v), (1, 0, 2)), (n, c))
+        out = ad.constant(np.ascontiguousarray(ad.matmul(attn, v).value.transpose(1, 0, 2))
+                          .reshape(n, c))
         return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]
 
     p = cfg.patch_size
@@ -174,7 +179,7 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
     w = {k: ad.constant(v) for k, v in weights.items()}
     x = ad.conv2d(ad.constant(img.data[None].astype(weights["patch_embed.w"].dtype)),
                   w["patch_embed.w"], w["patch_embed.b"], stride=p)
-    tokens = ad.transpose(ad.reshape(x, (cfg.embed_dim, gh * gw)), (1, 0))
+    tokens = ad.constant(np.ascontiguousarray(x.value.reshape(cfg.embed_dim, gh * gw).T))
     if cfg.depth == 0:
         return tokens.value
     tokens = tokens + ad.constant(interpolate_pos_embed(weights["pos_embed"], gh, gw))

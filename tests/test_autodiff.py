@@ -164,7 +164,6 @@ def test_grad_reductions_and_shapes():
     check_grad(lambda x: _scalarize(ad.reduce_mean(x, axis=1, keepdims=True)), x0)
     check_grad(lambda x: _scalarize(ad.reduce_sum(x, axis=(0, 2))), x0)
     check_grad(lambda x: _scalarize(ad.reshape(x, (4, 15))), x0)
-    check_grad(lambda x: _scalarize(ad.transpose(x, (2, 0, 1))), x0)
 
 
 def test_grad_concat():
