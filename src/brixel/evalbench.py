@@ -124,7 +124,6 @@ class CostReport:
     peak_act_student: int
     params_teacher: int
     params_student: int
-    note: str = FLOP_NOTE
 
     @property
     def macs_student_total(self) -> int:

@@ -139,8 +139,6 @@ def fit_pca(tokens, k: int) -> PcaProjection:
     positive. Rank deficiency below K is completed with the orthonormal
     vectors the SVD already provides and flagged with a warning.
     """
-    if isinstance(tokens, ad.Node):
-        tokens = tokens.value
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError(f"tokens must be (N, C), got {tokens.shape}")

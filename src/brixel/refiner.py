@@ -95,7 +95,7 @@ def adapter_forward(images: np.ndarray, cfg: AdapterConfig,
     h, wd = images.shape[-2:]
     if h % 16 or wd % 16:
         raise ValueError(f"adapter input sides {(h, wd)} must be divisible by 16")
-    x = ad.constant(np.asarray(images, dtype=w["adapter.conv1.w"].value.dtype))
+    x = ad.constant(images, dtype=w["adapter.conv1.w"].value.dtype)
     levels = []
     for i in range(1, 5):
         x = ad.gelu(ad.conv2d(x, w[f"adapter.conv{i}.w"], w[f"adapter.conv{i}.b"],
@@ -129,7 +129,7 @@ def head_forward(backbone_maps: np.ndarray, pyramid: list[ad.Node], cfg: Adapter
     projection bypasses the head entirely, leaving nearest-upsampled
     backbone features.
     """
-    bb = ad.constant(np.asarray(backbone_maps, dtype=w["head.fuse.w"].value.dtype))
+    bb = ad.constant(backbone_maps, dtype=w["head.fuse.w"].value.dtype)
     c, gh, gw = bb.value.shape[-3:]
     if w["head.out.w"].value.shape[0] != c:
         raise ValueError(

@@ -248,7 +248,9 @@ def save_checkpoint(ckpt_dir, student: ModelParams, adam: AdamState, iteration: 
 
 
 def load_checkpoint(ckpt_dir, template: ModelParams) -> tuple[ModelParams, AdamState, int]:
-    """Restore parameters + Adam state; shapes are validated name by name."""
+    """Restore parameters + Adam state. A parameter of another shape than the
+    template's is a configuration mismatch; any other tensor whose shape or
+    dtype differs from the template's is a damaged checkpoint."""
     root = Path(ckpt_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -265,15 +267,19 @@ def load_checkpoint(ckpt_dir, template: ModelParams) -> tuple[ModelParams, AdamS
             f"(missing: {sorted(missing)}, unexpected: {sorted(extra)})")
     tensors, m, v = {}, {}, {}
     for name in names:
-        tensor = load_tensor(root / "params" / f"{name}.brxt")
-        expected = template[name].shape
-        if tensor.shape != expected:
+        want = template[name]
+        paths = [root / sub / f"{name}.brxt" for sub in ("params", "adam/m", "adam/v")]
+        tensors[name] = load_tensor(paths[0])
+        if tensors[name].shape != want.shape:
             raise ConfigError(
-                f"checkpoint parameter {name!r} has shape {tuple(tensor.shape)}, "
-                f"configuration expects {tuple(expected)}")
-        tensors[name] = tensor
-        m[name] = load_tensor(root / "adam" / "m" / f"{name}.brxt")
-        v[name] = load_tensor(root / "adam" / "v" / f"{name}.brxt")
+                f"checkpoint parameter {name!r} has shape {tuple(tensors[name].shape)}, "
+                f"configuration expects {tuple(want.shape)}")
+        m[name], v[name] = load_tensor(paths[1]), load_tensor(paths[2])
+        for path, tensor in zip(paths, (tensors[name], m[name], v[name])):
+            if tensor.shape != want.shape or tensor.dtype != want.dtype:
+                raise DataIOError(
+                    f"damaged checkpoint tensor {path}: {tensor.dtype} {tuple(tensor.shape)}, "
+                    f"expected {want.dtype} {tuple(want.shape)}")
     state_path = root / "state.txt"
     try:
         state = dict(line.split("\t") for line in state_path.read_text().splitlines()
@@ -318,11 +324,9 @@ def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig)
 
 
 def run_training(run: TrainRun, dataset, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                 cfg: DistillConfig, iters: int | None = None, log_line=None,
-                 teacher_src=None) -> TrainRun:
+                 cfg: DistillConfig, iters: int | None = None, log_line=None) -> TrainRun:
     """Advance a run by ``iters`` iterations (default: up to total_iters)."""
-    if teacher_src is None:
-        teacher_src = make_teacher_source(cfg, vit_cfg, run.backbone)
+    teacher_src = make_teacher_source(cfg, vit_cfg, run.backbone)
     cache: dict = {}
     end = cfg.total_iters if iters is None else run.start_iter + iters
     for it in range(run.start_iter, end):

@@ -4,7 +4,7 @@ import pytest
 from brixel.cli import main
 from brixel.data import load_directory
 from brixel.imgio import image_to_rgb8, read_ppm, write_ppm
-from brixel.tensors import load_tensor
+from brixel.tensors import load_tensor, save_tensor
 
 TINY_CONFIG = """\
 # desk-mini run
@@ -282,6 +282,26 @@ def test_damaged_checkpoint_state_exit_3(tmp_path, cfg_file, trained, capsys, st
     err = capsys.readouterr().err
     assert (resume, evaluated) == (3, 3)
     assert err.count("io error:") == 2 and "state.txt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", ["adam_m_shape", "param_dtype"])
+def test_mismatched_checkpoint_tensor_exit_3(tmp_path, cfg_file, trained, capsys, damage):
+    ckpt = trained / "checkpoints" / "latest"
+    if damage == "adam_m_shape":
+        path = ckpt / "adam" / "m" / "head.out.w.brxt"
+        save_tensor(np.zeros(3, dtype=np.float32), path)
+    else:
+        path = ckpt / "params" / "head.out.w.brxt"
+        save_tensor(load_tensor(path).astype(np.float64), path)
+    cfg6 = tmp_path / "run6.cfg"
+    cfg6.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=6"))
+    resume = main(["distill", "--config", str(cfg6), "--data", "synthetic",
+                   "--out", str(trained), "--resume"])
+    evaluated = main(["eval", "--checkpoint", str(ckpt), "--data", "synthetic",
+                      "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert (resume, evaluated) == (3, 3)
+    assert err.count("io error:") == 2 and str(path) in err and "Traceback" not in err
 
 
 def test_viz_panels_follow_4x_protocol(tmp_path, trained):
