@@ -3,12 +3,14 @@
 The op set is exactly what the refiner/head and the three distillation
 losses reach (the frozen ViT runs tape-free, in plain numpy): elementwise
 arithmetic, (broadcasting) matmul, reshape and concat, sums, the amplitude
-of an orthonormal real 2-d FFT, 2-d convolution,
-pooling/upsampling/pixel-shuffle and GELU. The two composites, ``reduce_mean`` and a ``layer_norm`` over the
-channel axis, are built from the primitives so their gradients come for
-free. ``conv2d`` pads inside the op and folds the batch into the GEMM column
-axis, so a batch costs one GEMM forward and one each for the weight and
-input gradients.
+of an orthonormal real 2-d FFT, 2-d convolution, nearest upsampling, pixel
+shuffle and GELU. Three composites, ``reduce_mean``, a ``layer_norm`` over
+the channel axis and ``avg_pool2d`` (a mean over the window axes of a
+reshaped view), are built from the primitives so their gradients come for
+free. A non-node operand of a binary op takes the other operand's dtype;
+two nodes of different dtypes are a ``TypeError``. ``conv2d`` pads inside
+the op and folds the batch into the GEMM column axis, so a batch costs one
+GEMM forward and one each for the weight and input gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call, which frees
@@ -119,11 +121,12 @@ def detach(x: Node) -> Node:
     return Node(as_node(x).value)
 
 
-def as_node(x, like: Node | None = None) -> Node:
+def as_node(x, like=None) -> Node:
+    """``x`` itself if it is a node, else a constant of ``like``'s dtype when
+    ``like`` is a node."""
     if isinstance(x, Node):
         return x
-    dtype = like.value.dtype if like is not None else None
-    return constant(x, dtype=dtype)
+    return constant(x, dtype=like.value.dtype if isinstance(like, Node) else None)
 
 
 def _record(value: np.ndarray, parents) -> Node:
@@ -135,11 +138,6 @@ def _record(value: np.ndarray, parents) -> Node:
     node = Node(value, requires_grad=True, parents=tuple(parents))
     tape.nodes.append(node)
     return node
-
-
-def _check_same_dtype(a: Node, b: Node, op: str):
-    if a.value.dtype != b.value.dtype:
-        raise TypeError(f"{op}: dtype mismatch {a.value.dtype} vs {b.value.dtype}")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -160,22 +158,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _coerce_pair(a, b, op):
-    an = a if isinstance(a, Node) else None
-    bn = b if isinstance(b, Node) else None
-    if an is None and bn is None:
-        an, bn = constant(a), constant(b)
-    else:
-        an = an if an is not None else as_node(a, like=bn)
-        bn = bn if bn is not None else as_node(b, like=an)
-    if an.value.dtype != bn.value.dtype:
-        # numpy scalars sneak in as f64; fold python/0-d scalars to the array dtype
-        if bn.value.ndim == 0 and not bn.requires_grad:
-            bn = constant(bn.value, dtype=an.value.dtype)
-        elif an.value.ndim == 0 and not an.requires_grad:
-            an = constant(an.value, dtype=bn.value.dtype)
-        else:
-            _check_same_dtype(an, bn, op)
-    return an, bn
+    """A non-node operand takes the other operand's dtype; two nodes must agree."""
+    a = as_node(a, like=b)
+    b = as_node(b, like=a)
+    if a.value.dtype != b.value.dtype:
+        raise TypeError(f"{op}: dtype mismatch {a.value.dtype} vs {b.value.dtype}")
+    return a, b
 
 
 def add(a, b) -> Node:
@@ -284,9 +272,7 @@ def reduce_sum(a, axis=None, keepdims=False) -> Node:
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.value.shape).astype(a.value.dtype, copy=True)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.value.shape).astype(a.value.dtype, copy=True)
 
@@ -397,21 +383,6 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     return _record(y, parents)
 
 
-def avg_pool2d(a, k: int) -> Node:
-    a = as_node(a)
-    n, c, h, w = a.value.shape
-    if h % k or w % k:
-        raise ValueError(f"avg_pool2d: spatial size {(h, w)} not divisible by {k}")
-    out = a.value.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def vjp(g):
-        g = g[:, :, :, None, :, None] / (k * k)
-        return np.broadcast_to(g, (n, c, h // k, k, w // k, k)).reshape(n, c, h, w).astype(
-            a.value.dtype, copy=False)
-
-    return _record(out, [(a, vjp)])
-
-
 def upsample_nearest(a, factor: int) -> Node:
     a = as_node(a)
     out = a.value.repeat(factor, axis=-2).repeat(factor, axis=-1)
@@ -456,6 +427,16 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
     xn = div(xc, sqrt(add(var, eps)))
     per_channel = (-1,) + (1,) * (x.value.ndim - 2)
     return add(mul(xn, reshape(gamma, per_channel)), reshape(beta, per_channel))
+
+
+def avg_pool2d(a, k: int) -> Node:
+    """Mean over each k x k window of an (N, C, H, W) map: ``reduce_mean``
+    over the window axes of a reshaped view, the same steps as ``np.mean``."""
+    a = as_node(a)
+    n, c, h, w = a.value.shape
+    if h % k or w % k:
+        raise ValueError(f"avg_pool2d: spatial size {(h, w)} not divisible by {k}")
+    return reduce_mean(reshape(a, (n, c, h // k, k, w // k, k)), axis=(3, 5))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -58,15 +58,8 @@ def _load_dataset(spec: str, resolution: int, seed: int, count: int):
 # distill
 # ---------------------------------------------------------------------------
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig.from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_distill(seed=args.seed)
-    return cfg
-
-
 def cmd_distill(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = RunConfig.from_file(args.config)
     dataset = _load_dataset(args.data, cfg.distill.teacher_resolution,
                             cfg.distill.seed, cfg.distill.dataset_size)
     if args.data != "synthetic" and len(dataset) != cfg.distill.dataset_size:
@@ -125,7 +118,7 @@ def _truncate_metrics(path: Path, start_iter: int) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = RunConfig.from_file(args.config)
     dataset = _load_dataset(args.data, cfg.distill.teacher_resolution,
                             cfg.distill.seed, cfg.distill.dataset_size)
     out = Path(args.out)
@@ -222,6 +215,9 @@ def _run_probe(cfg, student, backbone, count: int = 12):
 
 def cmd_viz(args) -> int:
     cfg, run = _load_run(Path(args.checkpoint))
+    if cfg.vit.embed_dim < 3:
+        raise ConfigError(f"embed_dim={cfg.vit.embed_dim}: PCA-RGB panels need at least 3 "
+                          "feature channels")
     d = cfg.distill
     src = Path(args.image)
     if not src.exists():
@@ -265,7 +261,7 @@ def cmd_bench(args) -> int:
     """Price and time one dense map per output grid: the teacher on the
     full input, the student on the input downsampled by the configured
     factor. Each grid must give a student side the config accepts."""
-    cfg = _config_from_args(args)
+    cfg = RunConfig.from_file(args.config)
     try:
         grids = [int(g) for g in args.sizes.split(",")]
     except ValueError as exc:
@@ -322,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--data", required=True, help="image directory or 'synthetic'")
     d.add_argument("--out", required=True)
     d.add_argument("--resume", action="store_true")
-    d.add_argument("--seed", type=int, default=None, help="override the config seed")
     d.set_defaults(fn=cmd_distill)
 
     e = sub.add_parser("extract", help="dump teacher feature maps as .brxt files")
     e.add_argument("--config", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=int, default=None, help="override the config seed")
     e.set_defaults(fn=cmd_extract)
 
     v = sub.add_parser("eval", help="fidelity report (and optional toy probe)")
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", required=True)
     b.add_argument("--sizes", required=True, help="comma list of output grids, e.g. 16,32,64")
     b.add_argument("--out", default="")
-    b.add_argument("--seed", type=int, default=None, help="override the config seed")
     b.add_argument("--max-time-tokens", type=int, default=4096,
                    help="skip wall-clock measurement above this token count")
     b.set_defaults(fn=cmd_bench)

@@ -46,6 +46,8 @@ class AdapterConfig:
     def __post_init__(self):
         if len(self.pyramid_channels) != len(PYRAMID_STRIDES):
             raise ValueError("pyramid_channels must list one count per stride (4, 8, 16)")
+        if min(self.pyramid_channels) < 1 or self.fusion_channels < 1:
+            raise ValueError("pyramid_channels and fusion_channels must be >= 1")
         if self.head_blocks < 1:
             raise ValueError("head_blocks must be >= 1")
         f = self.upsample_factor

@@ -73,6 +73,9 @@ class RunConfig:
             r0 = self.distill.spectral_config(t_grid, t_grid).r0
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        if t_grid < 3:  # the edge loss runs a 3x3 Sobel window over the teacher grid
+            raise ConfigError(f"teacher grid {t_grid}x{t_grid} (teacher_resolution/patch_size) "
+                              "is smaller than the 3x3 Sobel window of the edge loss")
         up, down = self.adapter.upsample_factor, self.distill.downsample_factor
         if up != down:  # the student's output grid is the teacher's only when they match
             raise ConfigError(f"upsample_factor={up} must equal downsample_factor={down}")

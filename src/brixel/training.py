@@ -169,41 +169,34 @@ def make_teacher_source(cfg: DistillConfig, vit_cfg: ViTConfig, backbone: ModelP
 
 def train_step(batch: list[tuple[str, ImageTensor]], student: ModelParams,
                backbone: ModelParams, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-               cfg: DistillConfig, adam: AdamState, iteration: int,
-               teacher_src=None, sample_cache: dict | None = None) -> dict[str, float]:
+               cfg: DistillConfig, adam: AdamState, iteration: int, *,
+               teacher_src, sample_cache: dict) -> dict[str, float]:
     """One optimization step over a batch of teacher-resolution images.
 
-    ``sample_cache`` memoizes the (deterministic, frozen) teacher features,
-    downsampled images and low-res backbone maps per sample id across
-    iterations.
+    ``teacher_src`` comes from :func:`make_teacher_source`. ``sample_cache``
+    maps each sample id to its frozen arrays (teacher map, downsampled image,
+    low-res backbone map), computed on the id's first step and reused after.
     """
-    if teacher_src is None:
-        teacher_src = make_teacher_source(cfg, vit_cfg, backbone)
     lr = warmup_lr(iteration, cfg)
 
-    frozen = []
     for sid, img in batch:
-        if sample_cache is not None and sid in sample_cache:
-            sample = sample_cache[sid]
-        else:
+        if sid not in sample_cache:
             low = resize_bilinear(img, img.h // cfg.downsample_factor,
                                   img.w // cfg.downsample_factor, antialias=True)
-            sample = (teacher_features(teacher_src, sid, img), low,
-                      vit_forward(low, vit_cfg, backbone))
-            if sample_cache is not None:
-                sample_cache[sid] = sample
-        frozen.append(sample)
-    teachers, lows, low_maps = zip(*frozen)
+            sample_cache[sid] = (teacher_features(teacher_src, sid, img).data, low.data,
+                                 vit_forward(low, vit_cfg, backbone).data)
+    teachers, lows, low_maps = (np.stack(arrays)
+                                for arrays in zip(*(sample_cache[sid] for sid, _ in batch)))
 
-    pca = fit_pca(np.concatenate([t.tokens() for t in teachers], axis=0), cfg.pca_k)
-    spectral_cfg = cfg.spectral_config(*teachers[0].grid)
+    # tokens sample by sample, each in row-major grid order
+    pca = fit_pca(teachers.transpose(0, 2, 3, 1).reshape(-1, teachers.shape[1]), cfg.pca_k)
+    spectral_cfg = cfg.spectral_config(*teachers.shape[-2:])
 
     with ad.Tape() as tape:
         nodes = student.as_nodes()
-        pyramid = adapter_forward(np.stack([low.data for low in lows]), adapter_cfg, nodes)
-        s_out = head_forward(np.stack([m.data for m in low_maps]), pyramid, adapter_cfg, nodes)
-        total, parts = loss_breakdown(s_out, np.stack([t.data for t in teachers]), pca,
-                                      cfg.loss_weights(), spectral_cfg)
+        pyramid = adapter_forward(lows, adapter_cfg, nodes)
+        s_out = head_forward(low_maps, pyramid, adapter_cfg, nodes)
+        total, parts = loss_breakdown(s_out, teachers, pca, cfg.loss_weights(), spectral_cfg)
         bad = ~np.isfinite(total.value)
         if bad.any():
             sid = batch[int(np.argmax(bad))][0]
@@ -236,14 +229,11 @@ def save_checkpoint(ckpt_dir, student: ModelParams, adam: AdamState, iteration: 
     (root / "params").mkdir(parents=True, exist_ok=True)
     (root / "adam" / "m").mkdir(parents=True, exist_ok=True)
     (root / "adam" / "v").mkdir(parents=True, exist_ok=True)
-    lines = []
     for name, tensor in student.items():
         save_tensor(tensor, root / "params" / f"{name}.brxt")
         save_tensor(adam.m[name], root / "adam" / "m" / f"{name}.brxt")
         save_tensor(adam.v[name], root / "adam" / "v" / f"{name}.brxt")
-        shape = "x".join(str(d) for d in tensor.shape)
-        lines.append(f"{name}\t{shape}\t{tensor.dtype.name}")
-    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+    (root / "manifest.txt").write_text("".join(f"{name}\n" for name in student.names()))
     (root / "state.txt").write_text(f"iter\t{iteration}\nadam_t\t{adam.t}\n")
 
 

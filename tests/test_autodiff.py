@@ -404,3 +404,6 @@ def test_dtype_mismatch_rejected():
     with pytest.raises(TypeError):
         ad.add(ad.constant(np.ones(3, dtype=np.float32)),
                ad.constant(np.ones(3, dtype=np.float64)))
+    # a 0-d node is no exception: only a non-node operand takes the other's dtype
+    with pytest.raises(TypeError):
+        ad.add(ad.constant(np.ones(3, dtype=np.float32)), ad.constant(np.float64(2.0)))

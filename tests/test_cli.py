@@ -61,11 +61,14 @@ def test_distill_reproducible_bit_identical(tmp_path, cfg_file):
     assert (out_a / "metrics.tsv").read_bytes() == (out_b / "metrics.tsv").read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path, cfg_file):
+def test_seed_flag_overrides_config(tmp_path):
+    # the config's seed key is the one way to set a run's seed
     out_a, out_b, out_c = tmp_path / "sa", tmp_path / "sb", tmp_path / "sc"
     for out, seed in ((out_a, "21"), (out_b, "21"), (out_c, "22")):
-        assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
-                     "--out", str(out), "--seed", seed]) == 0
+        cfg = tmp_path / f"seed{seed}.cfg"
+        cfg.write_text(TINY_CONFIG.replace("seed=3", f"seed={seed}"))
+        assert main(["distill", "--config", str(cfg), "--data", "synthetic",
+                     "--out", str(out)]) == 0
     assert (out_a / "metrics.tsv").read_bytes() == (out_b / "metrics.tsv").read_bytes()
     assert (out_a / "metrics.tsv").read_bytes() != (out_c / "metrics.tsv").read_bytes()
     assert "seed=21" in (out_a / "config.resolved").read_text()
@@ -109,7 +112,13 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "r0=100", "pca_k=40", "heads=0", "heads=-2",
                                   "mlp_ratio=-1", "warmup_epochs=nan", "seed=-1",
                                   "upsample_factor=2", "downsample_factor=2",
-                                  "grad_clip=nan", "lr=nan", "r0=-5"])
+                                  "grad_clip=nan", "lr=nan", "r0=-5",
+                                  # teacher grids of 2x2, under the 3x3 Sobel window
+                                  "student_resolution=16\nupsample_factor=1\ndownsample_factor=1",
+                                  "patch_size=16\nstudent_resolution=16\nupsample_factor=2\n"
+                                  "downsample_factor=2",
+                                  "pyramid_channels=4,4,-1", "fusion_channels=-2",
+                                  "pyramid_channels=0,4,4", "fusion_channels=0"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"
@@ -353,6 +362,22 @@ def test_viz_deterministic_bytes_and_png(tmp_path, trained):
     assert main(["viz", "--checkpoint", ck, "--image", str(img),
                  "--out", str(tmp_path / "vp"), "--png"]) == 0
     assert (tmp_path / "vp" / "panels" / "pic_student.png").exists()
+
+
+def test_viz_embed_dim_below_3_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(TINY_CONFIG.replace("embed_dim=8", "embed_dim=2"))
+    run = tmp_path / "narrow"
+    assert main(["distill", "--config", str(cfg), "--data", "synthetic",
+                 "--out", str(run)]) == 0
+    img = tmp_path / "pic.ppm"
+    write_ppm(img, np.zeros((32, 32, 3), dtype=np.uint8))
+    capsys.readouterr()
+    code = main(["viz", "--checkpoint", str(run / "checkpoints" / "latest"),
+                 "--image", str(img), "--out", str(tmp_path / "viz")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "embed_dim" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from brixel.training import (
     init_adam,
     init_run,
     load_checkpoint,
+    make_teacher_source,
     run_training,
     save_checkpoint,
     select_batch,
@@ -153,7 +154,8 @@ def test_train_step_rejects_nonfinite_student():
     run.student.tensors["head.out.w"][:] = np.inf
     with pytest.raises((NumericError, FloatingPointError)):
         train_step(make_dataset()[:2], run.student, run.backbone, VIT, ADA, CFG,
-                   run.adam, iteration=0)
+                   run.adam, iteration=0,
+                   teacher_src=make_teacher_source(CFG, VIT, run.backbone), sample_cache={})
 
 
 def test_select_batch_is_stateless_in_iteration():
@@ -189,7 +191,8 @@ def test_batched_step_matches_per_sample_oracle(monkeypatch):
 
     monkeypatch.setattr(training, "loss_breakdown", spy_losses)
     monkeypatch.setattr(training, "clip_gradients", spy_clip)
-    train_step(batch, student, backbone, vit_cfg, ada_cfg, cfg, init_adam(student), 0)
+    train_step(batch, student, backbone, vit_cfg, ada_cfg, cfg, init_adam(student), 0,
+               teacher_src=make_teacher_source(cfg, vit_cfg, backbone), sample_cache={})
 
     for key in ("l1", "edge", "spectral", "total"):
         assert seen[key].shape == (3,)
@@ -219,7 +222,8 @@ def test_every_public_autodiff_op_is_reached(monkeypatch):
         monkeypatch.setattr(ad, name, counting(name, getattr(ad, name)))
     run = init_run(VIT, ADA, CFG)
     batch = select_batch(make_dataset(), CFG, 0)
-    train_step(batch, run.student, run.backbone, VIT, ADA, CFG, run.adam, iteration=0)
+    train_step(batch, run.student, run.backbone, VIT, ADA, CFG, run.adam, iteration=0,
+               teacher_src=make_teacher_source(CFG, VIT, run.backbone), sample_cache={})
     sid, img = batch[0]
     f = CFG.downsample_factor
     low = resize_bilinear(img, img.h // f, img.w // f, antialias=True)
