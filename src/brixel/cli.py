@@ -31,9 +31,9 @@ from .evalbench import (
     upsample_baseline,
 )
 from .imgio import image_to_rgb8, write_png, write_ppm
-from .refiner import init_student, student_feature_map
+from .refiner import student_feature_map
 from .runconfig import RunConfig
-from .tensors import ImageTensor, TensorFormatError, resize_bilinear, save_tensor
+from .tensors import ImageTensor, TensorFormatError, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
@@ -41,8 +41,9 @@ from .training import (
     load_checkpoint,
     run_training,
     save_checkpoint,
+    student_input,
 )
-from .vit import init_backbone, vit_forward
+from .vit import vit_forward
 
 FIDELITY_HEADER = ("# columns: sample_id\tstudent_l1\tstudent_cosine\tstudent_specgap"
                    "\tbaseline_l1\tbaseline_cosine\tbaseline_specgap")
@@ -59,6 +60,11 @@ def _load_dataset(spec: str, resolution: int, seed: int, count: int):
 # ---------------------------------------------------------------------------
 
 def cmd_distill(args) -> int:
+    """Train the run in ``--out`` to ``total_iters``; a fresh run is a resume
+    from iteration 0, and ``--resume`` only loads the run from ``--out``'s
+    checkpoint instead of initialising it. A refused run writes nothing; a
+    run that passes every check keeps the ``metrics.tsv`` rows before its
+    start iteration (none for a fresh run) and appends its own."""
     cfg = RunConfig.from_file(args.config)
     dataset = _load_dataset(args.data, cfg.distill.teacher_resolution,
                             cfg.distill.seed, cfg.distill.dataset_size)
@@ -66,35 +72,28 @@ def cmd_distill(args) -> int:
         cfg = cfg.with_distill(dataset_size=len(dataset))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out / "checkpoints" / "latest"
-
     if args.resume:
-        if not (ckpt_dir / "manifest.txt").exists():
-            raise DataIOError(f"--resume requested but no checkpoint at {ckpt_dir}")
         saved, run = _load_run(ckpt_dir)
-        changed = [k for k, v in saved.as_dict().items()
-                   if k != "total_iters" and cfg.as_dict()[k] != v]
-        if changed:
-            raise ConfigError(f"--resume may change only total_iters, not {', '.join(changed)}")
     else:
-        run = init_run(cfg.vit, cfg.adapter, cfg.distill)
-
-    (out / "config.resolved").write_text(cfg.resolved_text())
-    remaining = cfg.distill.total_iters - run.start_iter
-    if remaining < 0:
+        saved, run = cfg, init_run(cfg.vit, cfg.adapter, cfg.distill)
+    changed = [k for k, v in saved.as_dict().items()
+               if k != "total_iters" and cfg.as_dict()[k] != v]
+    if changed:
+        raise ConfigError(f"--resume may change only total_iters, not {', '.join(changed)}")
+    if run.start_iter > cfg.distill.total_iters:
         raise ConfigError(f"checkpoint is at iteration {run.start_iter}, beyond "
                           f"total_iters={cfg.distill.total_iters}")
 
-    if args.resume:
-        _truncate_metrics(out / "metrics.tsv", run.start_iter)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.resolved").write_text(cfg.resolved_text())
+    _truncate_metrics(out / "metrics.tsv", run.start_iter)
     with open(out / "metrics.tsv", "a") as log:
         def log_line(line: str):
             log.write(line + "\n")
             log.flush()
 
-        run_training(run, dataset, cfg.vit, cfg.adapter, cfg.distill,
-                     iters=remaining, log_line=log_line)
+        run_training(run, dataset, cfg.vit, cfg.adapter, cfg.distill, log_line=log_line)
 
     save_checkpoint(ckpt_dir, run.student, run.adam, run.start_iter)
     (ckpt_dir / "config.resolved").write_text(cfg.resolved_text())
@@ -123,7 +122,7 @@ def cmd_extract(args) -> int:
                             cfg.distill.seed, cfg.distill.dataset_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    backbone = init_backbone(cfg.vit, cfg.distill.seed)
+    backbone = init_run(cfg.vit, cfg.adapter, cfg.distill).backbone
     for sid, img in dataset:
         fm = vit_forward(img, cfg.vit, backbone)
         save_tensor(fm.data, out / f"{sid}.brxt")
@@ -136,22 +135,17 @@ def cmd_extract(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_run(ckpt_dir: Path) -> tuple[RunConfig, TrainRun]:
-    if not ckpt_dir.is_dir():
-        raise DataIOError(f"checkpoint directory not found: {ckpt_dir}")
     cfg_path = ckpt_dir / "config.resolved"
     if not cfg_path.exists():
-        raise DataIOError(f"checkpoint is missing config.resolved: {ckpt_dir}")
+        raise DataIOError(f"no checkpoint at {ckpt_dir}: {cfg_path.name} not found")
     cfg = RunConfig.from_file(cfg_path)
-    template = init_student(cfg.vit, cfg.adapter, seed=cfg.distill.seed + 1)
-    student, adam, start_iter = load_checkpoint(ckpt_dir, template)
-    return cfg, TrainRun(student=student, backbone=init_backbone(cfg.vit, cfg.distill.seed),
-                         adam=adam, start_iter=start_iter)
+    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
+    run.student, run.adam, run.start_iter = load_checkpoint(ckpt_dir, run.student)
+    return cfg, run
 
 
 def _student_and_baseline(img, cfg, student, backbone):
-    d = cfg.distill
-    low = resize_bilinear(img, img.h // d.downsample_factor,
-                          img.w // d.downsample_factor, antialias=True)
+    low = student_input(img, cfg.distill)
     s_fm = student_feature_map(low, cfg.vit, cfg.adapter, backbone, student)
     low_fm = vit_forward(low, cfg.vit, backbone)
     base_fm = upsample_baseline(low_fm, cfg.adapter.upsample_factor)
@@ -278,18 +272,17 @@ def cmd_bench(args) -> int:
 
     reports = [flop_model(cfg.vit, cfg.adapter, g * p) for g in grids]
     timings = {}
-    backbone = init_backbone(cfg.vit, cfg.distill.seed)
-    student = init_student(cfg.vit, cfg.adapter, seed=cfg.distill.seed + 1)
+    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
     rng = np.random.default_rng(cfg.distill.seed)
     for g in grids:
         if g * g > args.max_time_tokens:
             continue  # analytic columns still cover this size
         side = g * p
         hi = ImageTensor(rng.random((3, side, side)).astype(np.float32))
-        low = resize_bilinear(hi, side // f, side // f, antialias=True)
-        t_teacher = _time_forward(lambda: vit_forward(hi, cfg.vit, backbone))
+        low = student_input(hi, cfg.distill)
+        t_teacher = _time_forward(lambda: vit_forward(hi, cfg.vit, run.backbone))
         t_student = _time_forward(
-            lambda: student_feature_map(low, cfg.vit, cfg.adapter, backbone, student))
+            lambda: student_feature_map(low, cfg.vit, cfg.adapter, run.backbone, run.student))
         timings[g] = (t_teacher, t_student)
 
     table = cost_table(reports, timings)

@@ -21,12 +21,6 @@ class ModelParams:
         self.tensors = dict(tensors)
         self.trainable = trainable
 
-    def __len__(self):
-        return len(self.tensors)
-
-    def __contains__(self, name):
-        return name in self.tensors
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 

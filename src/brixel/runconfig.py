@@ -92,9 +92,11 @@ class RunConfig:
         if r0 > r_max:
             raise ConfigError(f"r0={r0} leaves no spectrum radii <= r_max={r_max} "
                               f"on the {t_grid}x{t_grid} teacher grid")
-        if self.distill.pca_k > self.vit.embed_dim:
+        pooled = self.distill.batch_size * t_grid * t_grid  # teacher tokens one PCA fit sees
+        if self.distill.pca_k > min(self.vit.embed_dim, pooled):
             raise ConfigError(f"pca_k={self.distill.pca_k} must be <= embed_dim="
-                              f"{self.vit.embed_dim}")
+                              f"{self.vit.embed_dim} and <= the {pooled} teacher tokens "
+                              "one batch pools (batch_size * teacher grid cells)")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

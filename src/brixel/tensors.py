@@ -132,13 +132,6 @@ def _area_weights(n_in: int, n_out: int, dtype=F64) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _resize_matrix_cached(n_in: int, n_out: int, antialias: bool, dtype_name: str) -> np.ndarray:
-    dtype = np.dtype(dtype_name)
-    if antialias and n_out < n_in:
-        return _area_weights(n_in, n_out, dtype)
-    return _bilinear_weights(n_in, n_out, dtype)
-
-
-def resize_matrix(n_in: int, n_out: int, antialias: bool, dtype=F64) -> np.ndarray:
     """1D resampling matrix behind every image and feature-map resize.
 
     Antialiased downsampling uses area weights; everything else plain
@@ -147,14 +140,17 @@ def resize_matrix(n_in: int, n_out: int, antialias: bool, dtype=F64) -> np.ndarr
     """
     if n_in <= 0 or n_out <= 0:
         raise ValueError("resize sizes must be >= 1")
-    return _resize_matrix_cached(n_in, n_out, antialias, np.dtype(dtype).name)
+    dtype = np.dtype(dtype_name)
+    if antialias and n_out < n_in:
+        return _area_weights(n_in, n_out, dtype)
+    return _bilinear_weights(n_in, n_out, dtype)
 
 
 def resize_plane(planes: np.ndarray, out_h: int, out_w: int, antialias: bool) -> np.ndarray:
     """Resize the last two axes of an (..., H, W) stack of planes; separable
     row/column resampling, broadcast over the leading axes."""
-    wy = resize_matrix(planes.shape[-2], out_h, antialias, dtype=planes.dtype)
-    wx = resize_matrix(planes.shape[-1], out_w, antialias, dtype=planes.dtype)
+    wy = _resize_matrix_cached(planes.shape[-2], out_h, antialias, planes.dtype.name)
+    wx = _resize_matrix_cached(planes.shape[-1], out_w, antialias, planes.dtype.name)
     return wy @ planes @ wx.T
 
 
@@ -169,7 +165,7 @@ def resize_bilinear(img: ImageTensor, out_h: int, out_w: int, antialias: bool = 
     require_finite(img.data, "image")
     out = resize_plane(img.data, out_h, out_w, antialias)
     np.clip(out, 0.0, 1.0, out=out)
-    return ImageTensor(require_finite(out, "resized image"))
+    return ImageTensor(out)
 
 
 # ---------------------------------------------------------------------------

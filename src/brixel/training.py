@@ -163,8 +163,16 @@ def make_teacher_source(cfg: DistillConfig, vit_cfg: ViTConfig, backbone: ModelP
         return LiveTeacher(vit_cfg, backbone)
     if spec.startswith("file:"):
         grid = cfg.teacher_resolution // vit_cfg.patch_size
-        return FileTeacher(Path(spec[5:]), (vit_cfg.embed_dim, grid, grid))
+        return FileTeacher(Path(spec[5:]), (vit_cfg.embed_dim, grid, grid),
+                           backbone["patch_embed.w"].dtype)
     raise ConfigError(f"unknown teacher_source {spec!r} (expected 'live' or 'file:<dir>')")
+
+
+def student_input(img: ImageTensor, cfg: DistillConfig) -> ImageTensor:
+    """The image the student sees: ``img`` area-downsampled by
+    ``downsample_factor`` per side. Training, eval, viz and bench all call this."""
+    f = cfg.downsample_factor
+    return resize_bilinear(img, img.h // f, img.w // f, antialias=True)
 
 
 def train_step(batch: list[tuple[str, ImageTensor]], student: ModelParams,
@@ -181,8 +189,7 @@ def train_step(batch: list[tuple[str, ImageTensor]], student: ModelParams,
 
     for sid, img in batch:
         if sid not in sample_cache:
-            low = resize_bilinear(img, img.h // cfg.downsample_factor,
-                                  img.w // cfg.downsample_factor, antialias=True)
+            low = student_input(img, cfg)
             sample_cache[sid] = (teacher_features(teacher_src, sid, img).data, low.data,
                                  vit_forward(low, vit_cfg, backbone).data)
     teachers, lows, low_maps = (np.stack(arrays)
@@ -308,6 +315,9 @@ class TrainRun:
 
 
 def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig) -> TrainRun:
+    """A run at iteration 0. The one home of the seed rule: the frozen backbone
+    is seeded with ``cfg.seed`` and the student with ``cfg.seed + 1``, so a
+    checkpoint's template and backbone also come from here."""
     backbone = init_backbone(vit_cfg, seed=cfg.seed)
     student = init_student(vit_cfg, adapter_cfg, seed=cfg.seed + 1)
     return TrainRun(student=student, backbone=backbone, adam=init_adam(student), start_iter=0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataIOError
 from .params import ModelParams
-from .tensors import F32, FeatureMap, ImageTensor, load_tensor, require_finite, resize_plane, tokens_to_grid
+from .tensors import F32, FeatureMap, ImageTensor, load_tensor, resize_plane, tokens_to_grid
 
 # grid at which learned position embeddings are stored; interpolated elsewhere
 POS_BASE_GRID = 16
@@ -163,7 +163,6 @@ def vit_forward(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> Featu
     p = cfg.patch_size
     gh, gw = img.h // p, img.w // p
     tokens = vit_tokens(img, cfg, weights).value
-    require_finite(tokens, "backbone tokens")
     return FeatureMap(tokens_to_grid(tokens, gh, gw))
 
 
@@ -185,6 +184,7 @@ class FileTeacher:
 
     directory: Path
     expected_shape: tuple[int, int, int]  # (C, H_t, W_t)
+    expected_dtype: np.dtype = np.dtype(F32)  # the run's dtype
 
 
 def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap:
@@ -202,5 +202,8 @@ def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap
             raise ConfigError(
                 f"teacher file {path} has shape {data.shape}, run config expects "
                 f"{tuple(src.expected_shape)}")
+        if data.dtype != src.expected_dtype:
+            raise ConfigError(f"teacher file {path} has dtype {data.dtype}, run config "
+                              f"expects {src.expected_dtype}")
         return FeatureMap(data)
     raise TypeError(f"unknown teacher source {type(src)!r}")

@@ -61,7 +61,7 @@ def test_distill_reproducible_bit_identical(tmp_path, cfg_file):
     assert (out_a / "metrics.tsv").read_bytes() == (out_b / "metrics.tsv").read_bytes()
 
 
-def test_seed_flag_overrides_config(tmp_path):
+def test_seed_key_sets_the_run(tmp_path):
     # the config's seed key is the one way to set a run's seed
     out_a, out_b, out_c = tmp_path / "sa", tmp_path / "sb", tmp_path / "sc"
     for out, seed in ((out_a, "21"), (out_b, "21"), (out_c, "22")):
@@ -72,6 +72,14 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out_a / "metrics.tsv").read_bytes() == (out_b / "metrics.tsv").read_bytes()
     assert (out_a / "metrics.tsv").read_bytes() != (out_c / "metrics.tsv").read_bytes()
     assert "seed=21" in (out_a / "config.resolved").read_text()
+
+
+def test_fresh_distill_into_used_out_starts_metrics_afresh(tmp_path, cfg_file):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    for out in (once, twice, twice):
+        assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                     "--out", str(out)]) == 0
+    assert (twice / "metrics.tsv").read_bytes() == (once / "metrics.tsv").read_bytes()
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):
@@ -118,7 +126,10 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "patch_size=16\nstudent_resolution=16\nupsample_factor=2\n"
                                   "downsample_factor=2",
                                   "pyramid_channels=4,4,-1", "fusion_channels=-2",
-                                  "pyramid_channels=0,4,4", "fusion_channels=0"])
+                                  "pyramid_channels=0,4,4", "fusion_channels=0",
+                                  # 100 PCA components from the 64 tokens of one 8x8 grid
+                                  "embed_dim=128\nheads=2\nstudent_resolution=16\n"
+                                  "batch_size=1\ndataset_size=1\npca_k=100"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"
@@ -180,6 +191,20 @@ def test_resume_with_changed_experiment_exit_2(tmp_path, cfg_file, capsys):
     assert "lr" in capsys.readouterr().err
     assert (out / "checkpoints" / "latest" / "config.resolved").read_bytes() == saved
     assert len(read_metrics(out)) == 4
+
+
+def test_refused_resume_writes_nothing(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out)]) == 0
+    before = [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")]
+    short = tmp_path / "short.cfg"
+    short.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=1"))
+    code = main(["distill", "--config", str(short), "--data", "synthetic",
+                 "--out", str(out), "--resume"])
+    assert code == 2
+    assert "beyond total_iters=1" in capsys.readouterr().err
+    assert [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")] == before
 
 
 def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path, cfg_file):
@@ -244,6 +269,22 @@ def test_file_teacher_shape_mismatch_exit_2(tmp_path, cfg_file, capsys):
     assert code == 2
     assert "shape" in err
     assert "Traceback" not in err
+
+
+def test_file_teacher_dtype_mismatch_exit_2(tmp_path, cfg_file, capsys):
+    feats = tmp_path / "feats"
+    assert main(["extract", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(feats)]) == 0
+    for path in feats.glob("*.brxt"):
+        save_tensor(load_tensor(path).astype(np.float64), path)
+    file_cfg = tmp_path / "file.cfg"
+    file_cfg.write_text(TINY_CONFIG + f"teacher_source=file:{feats}\n")
+    code = main(["distill", "--config", str(file_cfg), "--data", "synthetic",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: teacher file") and str(feats) in err
+    assert "float64" in err and "float32" in err and "Traceback" not in err
 
 
 def test_extract_empty_dir_exit_3(tmp_path, cfg_file):
