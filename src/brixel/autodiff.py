@@ -8,9 +8,10 @@ shuffle and GELU. Three composites, ``reduce_mean``, a ``layer_norm`` over
 the channel axis and ``avg_pool2d`` (a mean over the window axes of a
 reshaped view), are built from the primitives so their gradients come for
 free. A non-node operand of a binary op takes the other operand's dtype;
-two nodes of different dtypes are a ``TypeError``. ``conv2d`` pads inside
-the op and folds the batch into the GEMM column axis, so a batch costs one
-GEMM forward and one each for the weight and input gradients.
+two nodes of different dtypes are a ``TypeError``. ``conv2d`` never
+materialises its padding, and folds the batch into the GEMM column axis, so
+a batch costs one GEMM forward and one each for the weight and input
+gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call, which frees
@@ -311,37 +312,53 @@ def fft_amplitude(x, eps: float) -> Node:
 # Spatial ops (4-d layout: batch, channels, height, width)
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """(C*kh*kw, N*Ho*Wo) patch columns, the batch folded into the column axis."""
+def _window(size: int, offset: int, stride: int, padding: int, out: int):
+    """Along one axis, the output slice whose input index ``o * stride + offset
+    - padding`` falls inside [0, size), and the input slice it reads."""
+    lo = max(0, -((offset - padding) // stride))
+    hi = max(lo, min(out, (size - 1 + padding - offset) // stride + 1))
+    start = lo * stride + offset - padding
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """(C*kh*kw, N*Ho*Wo) patch columns, the batch folded into the column axis.
+    With padding they start at zero and only reads inside the image are copied."""
     n, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    cols = (np.zeros if padding else np.empty)((c, kh, kw, n, ho, wo), dtype=x.dtype)
     xc = x.transpose(1, 0, 2, 3)
     for i in range(kh):
+        out_r, in_r = _window(h, i, stride, padding, ho)
         for j in range(kw):
-            cols[:, i, j] = xc[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            out_c, in_c = _window(w, j, stride, padding, wo)
+            cols[:, i, j, :, out_r, out_c] = xc[:, :, in_r, in_c]
     return cols.reshape(c * kh * kw, n * ho * wo), ho, wo
 
 
-def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, ho: int, wo: int):
-    """Scatter-add patch-column gradients back onto an (N, C, H, W) input."""
+def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, padding: int,
+            ho: int, wo: int):
+    """Scatter-add patch-column gradients onto an (N, C, H, W) input gradient;
+    what falls on the padding is dropped."""
     n, c, h, w = xshape
     dcols = dcols.reshape(c, kh, kw, n, ho, wo)
-    dx = np.zeros((c, n, h, w), dtype=dcols.dtype)
+    dx = np.zeros((n, c, h, w), dtype=dcols.dtype)
     for i in range(kh):
+        out_r, in_r = _window(h, i, stride, padding, ho)
         for j in range(kw):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    return dx.transpose(1, 0, 2, 3)
+            out_c, in_c = _window(w, j, stride, padding, wo)
+            dx[:, :, in_r, in_c] += dcols[:, i, j, :, out_r, out_c].transpose(1, 0, 2, 3)
+    return dx
 
 
 def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     """2-d convolution (cross-correlation), input (N,Cin,H,W), weight (Cout,Cin,kh,kw).
 
-    Zero padding happens inside the op. The batch is folded into the GEMM
-    column axis: one (Cout, K) @ (K, N*Ho*Wo) product forward, and one each
-    for the weight and input gradients, so dW is summed over the batch
-    inside the GEMM.
+    Zero padding lives in the patch gather and scatter, never in a padded
+    copy. The batch is folded into the GEMM column axis: one (Cout, K) @ (K,
+    N*Ho*Wo) product forward, and one each for the weight and input
+    gradients, so dW is summed over the batch inside the GEMM.
     """
     x = as_node(x)
     w = as_node(w)
@@ -353,10 +370,9 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     n, cin, h, wd = x.value.shape
     cout, _, kh, kw = w.value.shape
     p = padding
-    xp = np.pad(x.value, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.value
-    if xp.shape[-2] < kh or xp.shape[-1] < kw:
-        raise ValueError(f"conv2d input {xp.shape} smaller than kernel ({kh}x{kw})")
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    if h + 2 * p < kh or wd + 2 * p < kw:
+        raise ValueError(f"conv2d padded input {h + 2 * p}x{wd + 2 * p} < kernel {kh}x{kw}")
+    cols, ho, wo = _im2col(x.value, kh, kw, stride, p)
     w_flat = w.value.reshape(cout, cin * kh * kw)
     y = w_flat @ cols
     if b is not None:
@@ -365,14 +381,12 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
             raise ValueError(f"conv2d bias must have shape ({cout},), got {b.value.shape}")
         y += b.value[:, None]
     y = np.ascontiguousarray(y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
-    padded_shape = xp.shape
 
     def g_cols(g):
         return g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
 
     def vjp_x(g):
-        dx = _col2im(w_flat.T @ g_cols(g), padded_shape, kh, kw, stride, ho, wo)
-        return np.ascontiguousarray(dx[:, :, p:p + h, p:p + wd])
+        return _col2im(w_flat.T @ g_cols(g), x.value.shape, kh, kw, stride, p, ho, wo)
 
     def vjp_w(g):
         return (g_cols(g) @ cols.T).reshape(w.value.shape)

@@ -3,9 +3,9 @@
 Fidelity metrics stand in for visual side-by-sides (no pretrained weights at
 desk scale): mean L1, mean per-token cosine similarity, and the
 log-amplitude gap of the high-frequency radial spectra. PCA-RGB export
-follows the shared-basis convention: one SVD fit on the reference map's
-tokens, every map projected onto the first three directions and colored
-with the reference map's min/max.
+follows the shared-basis convention: one ``losses.fit_pca`` on the reference
+map's tokens, every map projected onto the first three directions and
+colored with the reference map's min/max.
 
 The cost model is closed-form in MACs and activations; parameter counts are
 the sizes of the initialised tensors. Compute counts are kept internally as

@@ -3,10 +3,11 @@
 * plain L1 between student and teacher maps,
 * an edge loss comparing Sobel responses of both maps after a token-wise
   projection onto the top-K principal components of the batch teacher
-  tokens (computed by SVD, never receiving gradients). Projection and Sobel
-  are both linear, so the loss runs them once, on the gap T - S, where the
-  PCA mean cancels; the separable Sobel kernel, replicate padding included,
-  runs as products with fixed (n, n) matrices along each axis, and
+  tokens (from the eigendecomposition of their C×C Gram matrix, never
+  receiving gradients). Projection and Sobel are both linear, so the loss
+  runs them once, on the gap T - S, where the PCA mean cancels; the
+  separable Sobel kernel, replicate padding included, runs as products with
+  fixed (n, n) matrices along each axis, and
 * a spectral loss comparing log radial amplitude spectra above a cutoff
   radius, so the student is pushed to reproduce the teacher's
   high-frequency content. The 2-d amplitude spectrum is numpy's real FFT
@@ -134,10 +135,12 @@ def l1_loss(student, teacher) -> ad.Node:
 def fit_pca(tokens, k: int) -> PcaProjection:
     """Top-K principal directions of a pooled token set (N, C).
 
-    SVD of the mean-centered tokens; columns ordered by singular value
-    descending, each sign-fixed so its largest-magnitude component is
-    positive. Rank deficiency below K is completed with the orthonormal
-    vectors the SVD already provides and flagged with a warning.
+    Eigendecomposition of the C×C Gram matrix ``XcᵀXc`` of the mean-centred
+    tokens in float64; columns ordered by eigenvalue descending, each
+    sign-fixed so its largest-magnitude component is positive. The rank is
+    the count of eigenvalues above ``λ_max · max(N, C) · eps``; a rank below
+    K is completed with the orthonormal eigenvectors of the remaining
+    eigenvalues and flagged with a warning.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -148,15 +151,15 @@ def fit_pca(tokens, k: int) -> PcaProjection:
     dtype = tokens.dtype
     mean = tokens.mean(axis=0)
     centered = (tokens - mean).astype(np.float64)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, c) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    rank = int(np.sum(evals > evals[0] * max(n, c) * np.finfo(np.float64).eps))
     degenerate = rank < k
     if degenerate:
         warnings.warn(
             f"token set has rank {rank} < K={k}; completing the basis with "
             "arbitrary orthonormal directions", RuntimeWarning, stacklevel=2)
-    basis = vt[:k].T.copy()
+    basis = evecs[:, :k].copy()
     for j in range(k):
         col = basis[:, j]
         if col[np.argmax(np.abs(col))] < 0:

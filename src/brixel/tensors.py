@@ -162,7 +162,6 @@ def resize_bilinear(img: ImageTensor, out_h: int, out_w: int, antialias: bool = 
     """
     if out_h < 1 or out_w < 1:
         raise ValueError("target size must be >= 1 pixel")
-    require_finite(img.data, "image")
     out = resize_plane(img.data, out_h, out_w, antialias)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageTensor(out)
@@ -211,7 +210,7 @@ def save_tensor(t: np.ndarray, path) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a .brxt file back into a contiguous array."""
+    """Read a .brxt file back into a contiguous, writable array."""
     raw = Path(path).read_bytes()
     if len(raw) < 10:
         raise TensorFormatError(f"{path}: truncated header")
@@ -243,4 +242,4 @@ def load_tensor(path) -> np.ndarray:
     if len(payload) > expected:
         raise TensorFormatError(f"{path}: payload length mismatch ({len(payload)} > {expected})")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("="), copy=False))
+    return arr.astype(arr.dtype.newbyteorder("="))

@@ -108,7 +108,7 @@ def init_adam(params: ModelParams) -> AdamState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float) -> None:
-    """Standard bias-corrected Adam update, in place on ``params``."""
+    """Standard bias-corrected Adam update, in place on the parameter and moment arrays."""
     if not params.trainable:
         raise ValueError("refusing to update frozen parameters")
     for name, g in grads.items():
@@ -122,13 +122,13 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, g in grads.items():
-        p = params[name]
+        p, m, v = params[name], state.m[name], state.v[name]
         g = g.astype(p.dtype, copy=False)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        params.tensors[name] = p - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        p -= (lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.dtype)
 
 
 def warmup_lr(iteration: int, cfg: DistillConfig) -> float:

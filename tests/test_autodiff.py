@@ -223,6 +223,33 @@ def test_conv2d_batch_fold_matches_per_sample_calls(stride, padding, out_side):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("padding", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv2d_padding_matches_zero_padded_input(stride, padding, kernel, dtype):
+    """Padding inside the op against an explicitly zero-padded input, byte for
+    byte: y, dW and db equal, and dx equals the interior of the padded input's
+    dx. The 7-high side leaves the last window short of the far padding at
+    strides 2 and 3 on one axis or the other; kernel 1 with padding 2 has
+    outputs that see only padding."""
+    rng = np.random.default_rng(100 * stride + 10 * padding + kernel)
+    x0 = rng.standard_normal((2, 3, 7, 8)).astype(dtype)
+    w0 = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
+    b0 = rng.standard_normal(4).astype(dtype)
+    p = padding
+    xp = np.pad(x0, ((0, 0), (0, 0), (p, p), (p, p)))
+    ho = (7 + 2 * p - kernel) // stride + 1
+    wo = (8 + 2 * p - kernel) // stride + 1
+    gy = rng.standard_normal((2, 4, ho, wo)).astype(dtype)
+
+    y, gx, gw, gb = _conv_with_grads(x0, w0, b0, gy, stride, p)
+    y_p, gx_p, gw_p, gb_p = _conv_with_grads(xp, w0, b0, gy, stride, 0)
+    for got, want in [(y, y_p), (gw, gw_p), (gb, gb_p), (gx, gx_p[:, :, p:p + 7, p:p + 8])]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_grad_fft_amplitude_odd_width():
     # odd W: every half-plane column but the first stands for a mirrored pair
     for shape in [(2, 4, 5), (1, 3, 7), (3, 5, 3)]:

@@ -107,13 +107,16 @@ def test_fit_pca_rejects_bad_k():
         fit_pca(tokens, 0)
 
 
-def test_fit_pca_flags_rank_deficiency():
+@pytest.mark.parametrize("n,c,rank,k", [(20, 4, 1, 3), (8192, 32, 5, 8)])
+def test_fit_pca_flags_rank_deficiency(n, c, rank, k):
+    """(20, 4, 1, 3) is a hand-sized rank-1 set; (8192, 32, 5, 8) is a desk
+    batch of pooled teacher tokens (8 maps of 32x32 tokens, C=32, K=8)."""
     rng = np.random.default_rng(2)
-    rank1 = np.outer(rng.standard_normal(20), rng.standard_normal(4))
+    deficient = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, c))
     with pytest.warns(RuntimeWarning, match="rank"):
-        p = fit_pca(rank1, 3)
+        p = fit_pca(deficient, k)
     assert p.degenerate
-    assert np.allclose(p.basis.T @ p.basis, np.eye(3), atol=1e-5)
+    assert np.allclose(p.basis.T @ p.basis, np.eye(k), atol=1e-5)
 
 
 def test_fit_pca_deterministic_sign():
