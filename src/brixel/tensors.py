@@ -233,7 +233,7 @@ def load_tensor(path) -> np.ndarray:
         if d == 0:
             raise TensorFormatError(f"{path}: zero-sized dimension")
         count *= d
-    payload = raw[dims_end:]
+    payload = memoryview(raw)[dims_end:]
     expected = count * dtype.itemsize
     if len(payload) < expected:
         raise TensorFormatError(
