@@ -230,9 +230,9 @@ def test_conv2d_batch_fold_matches_per_sample_calls(stride, padding, out_side):
 def test_conv2d_padding_matches_zero_padded_input(stride, padding, kernel, dtype):
     """Padding inside the op against an explicitly zero-padded input, byte for
     byte: y, dW and db equal, and dx equals the interior of the padded input's
-    dx. The 7-high side leaves the last window short of the far padding at
-    strides 2 and 3 on one axis or the other; kernel 1 with padding 2 has
-    outputs that see only padding."""
+    dx. On the 7x8 map the last window stops short of the far padding on at
+    least one axis at strides 2 and 3; kernel 1 with padding 2 has outputs
+    that see only padding."""
     rng = np.random.default_rng(100 * stride + 10 * padding + kernel)
     x0 = rng.standard_normal((2, 3, 7, 8)).astype(dtype)
     w0 = rng.standard_normal((4, 3, kernel, kernel)).astype(dtype)
