@@ -5,33 +5,4 @@ high-resolution feature maps from 4x-downsampled input, trained with an
 L1 + Sobel-edge + radial-spectral loss. See README.md for the tour.
 """
 
-from .losses import LossWeights, PcaProjection, SpectralConfig, total_loss
-from .refiner import AdapterConfig, init_student, student_forward
-from .tensors import FeatureMap, ImageTensor, load_tensor, save_tensor
-from .training import DistillConfig, init_run, run_training, train_step
-from .vit import ViTConfig, init_backbone, teacher_features, vit_forward
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdapterConfig",
-    "DistillConfig",
-    "FeatureMap",
-    "ImageTensor",
-    "LossWeights",
-    "PcaProjection",
-    "SpectralConfig",
-    "ViTConfig",
-    "init_backbone",
-    "init_run",
-    "init_student",
-    "load_tensor",
-    "run_training",
-    "save_tensor",
-    "student_forward",
-    "teacher_features",
-    "total_loss",
-    "train_step",
-    "vit_forward",
-    "__version__",
-]

@@ -3,15 +3,15 @@
 The op set is exactly what the refiner/head and the three distillation
 losses reach (the frozen ViT runs tape-free, in plain numpy): elementwise
 arithmetic, (broadcasting) matmul, reshape and concat, sums, the amplitude
-of an orthonormal real 2-d FFT, 2-d convolution, nearest upsampling, pixel
-shuffle and GELU. Three composites, ``reduce_mean``, a ``layer_norm`` over
-the channel axis and ``avg_pool2d`` (a mean over the window axes of a
-reshaped view), are built from the primitives so their gradients come for
-free. A non-node operand of a binary op takes the other operand's dtype;
-two nodes of different dtypes are a ``TypeError``. ``conv2d`` never
-materialises its padding, and folds the batch into the GEMM column axis, so
-a batch costs one GEMM forward and one each for the weight and input
-gradients.
+of an orthonormal real 2-d FFT, 2-d convolution plus a per-channel bias,
+nearest upsampling, pixel shuffle and GELU. Three composites,
+``reduce_mean``, a ``layer_norm`` over the channel axis and ``avg_pool2d``
+(a mean over the window axes of a reshaped view), are built from the
+primitives so their gradients come for free. A non-node operand of a
+binary op takes the other operand's dtype; two nodes of different dtypes
+are a ``TypeError``. ``conv2d`` never materialises its padding, and folds
+the batch into the GEMM column axis, so a batch costs one GEMM forward and
+one each for the weight and input gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call, which frees
@@ -352,16 +352,16 @@ def _col2im(dcols: np.ndarray, xshape, kh: int, kw: int, stride: int, padding: i
     return dx
 
 
-def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
-    """2-d convolution (cross-correlation), input (N,Cin,H,W), weight (Cout,Cin,kh,kw).
+def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Node:
+    """2-d convolution (cross-correlation) plus bias: input (N, Cin, H, W),
+    weight (Cout, Cin, kh, kw), bias (Cout,).
 
     Zero padding lives in the patch gather and scatter, never in a padded
     copy. The batch is folded into the GEMM column axis: one (Cout, K) @ (K,
     N*Ho*Wo) product forward, and one each for the weight and input
     gradients, so dW is summed over the batch inside the GEMM.
     """
-    x = as_node(x)
-    w = as_node(w)
+    x, w, b = as_node(x), as_node(w), as_node(b)
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError("conv2d expects 4-d input and weight")
     if x.value.shape[1] != w.value.shape[1]:
@@ -369,17 +369,15 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
             f"conv2d channel mismatch: input {x.value.shape[1]} vs weight {w.value.shape[1]}")
     n, cin, h, wd = x.value.shape
     cout, _, kh, kw = w.value.shape
+    if b.value.shape != (cout,):
+        raise ValueError(f"conv2d bias must have shape ({cout},), got {b.value.shape}")
     p = padding
     if h + 2 * p < kh or wd + 2 * p < kw:
         raise ValueError(f"conv2d padded input {h + 2 * p}x{wd + 2 * p} < kernel {kh}x{kw}")
     cols, ho, wo = _im2col(x.value, kh, kw, stride, p)
     w_flat = w.value.reshape(cout, cin * kh * kw)
     y = w_flat @ cols
-    if b is not None:
-        b = as_node(b)
-        if b.value.shape != (cout,):
-            raise ValueError(f"conv2d bias must have shape ({cout},), got {b.value.shape}")
-        y += b.value[:, None]
+    y += b.value[:, None]
     y = np.ascontiguousarray(y.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3))
 
     def g_cols(g):
@@ -391,10 +389,7 @@ def conv2d(x, w, b=None, stride: int = 1, padding: int = 0) -> Node:
     def vjp_w(g):
         return (g_cols(g) @ cols.T).reshape(w.value.shape)
 
-    parents = [(x, vjp_x), (w, vjp_w)]
-    if b is not None:
-        parents.append((b, lambda g: g.sum(axis=(0, 2, 3))))
-    return _record(y, parents)
+    return _record(y, [(x, vjp_x), (w, vjp_w), (b, lambda g: g.sum(axis=(0, 2, 3)))])
 
 
 def upsample_nearest(a, factor: int) -> Node:

@@ -243,12 +243,11 @@ def cmd_viz(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _time_forward(fn, repeats: int = 1) -> float:
+def _time_forward(fn) -> float:
     fn()  # warm caches once
     t0 = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - t0) / repeats
+    fn()
+    return time.perf_counter() - t0
 
 
 def cmd_bench(args) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SpectralConfig, default_r0, fit_pca, radial_spectrum
+from .losses import SpectralConfig, fit_pca, radial_spectrum
 from .params import ModelParams
 from .refiner import AdapterConfig, init_student
 from .tensors import FeatureMap, resize_plane
@@ -49,7 +49,9 @@ class FidelityReport:
 
 
 def fidelity(student_fm: FeatureMap, teacher_fm: FeatureMap,
-             cfg: SpectralConfig | None = None) -> FidelityReport:
+             cfg: SpectralConfig) -> FidelityReport:
+    """Metrics of one map pair; the spectrum gap starts at the caller's cutoff
+    ``cfg.r0`` (a run passes its ``DistillConfig.spectral_config``)."""
     if student_fm.data.shape != teacher_fm.data.shape:
         raise ValueError(f"shape mismatch {student_fm.data.shape} vs {teacher_fm.data.shape}")
     s, t = student_fm.data, teacher_fm.data
@@ -61,7 +63,6 @@ def fidelity(student_fm: FeatureMap, teacher_fm: FeatureMap,
     norms = np.linalg.norm(st, axis=1) * np.linalg.norm(tt, axis=1)
     cosine = float(np.mean(dots / (norms + 1e-12)))
 
-    cfg = cfg or SpectralConfig(r0=default_r0(*student_fm.grid))
     p_s = radial_spectrum(s.astype(np.float64), cfg.r0).value
     p_t = radial_spectrum(t.astype(np.float64), cfg.r0).value
     gap = float(np.mean(np.abs(np.log(p_t + cfg.eps_log) - np.log(p_s + cfg.eps_log))))
@@ -119,7 +120,6 @@ class CostReport:
     macs_student_backbone: int
     macs_student_adapter: int
     macs_student_head: int
-    attention_scores_macs_teacher: int
     peak_act_teacher: int   # activation element counts
     peak_act_student: int
     params_teacher: int
@@ -143,8 +143,8 @@ def attention_scores_macs(n_tokens: int, embed_dim: int) -> int:
     return 2 * n_tokens * n_tokens * embed_dim
 
 
-def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int, int]:
-    """(total MACs, scores-term MACs, peak activation elements) at one input size."""
+def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int]:
+    """(total MACs, peak activation elements) at one input size."""
     g = side // cfg.patch_size
     n = g * g
     c = cfg.embed_dim
@@ -154,7 +154,7 @@ def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int, int]:
     mlp = 2 * n * c * cfg.mlp_hidden
     total = embed + cfg.depth * (proj + scores + mlp)
     peak = max(3 * side * side, n * c, cfg.heads * n * n, n * cfg.mlp_hidden)
-    return total, cfg.depth * scores, peak
+    return total, peak
 
 
 def _conv_macs(k: int, cin: int, cout: int, out_hw: int) -> int:
@@ -175,8 +175,8 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     grid = input_size // p
     student_side = input_size // f
 
-    t_total, t_scores, t_peak = _vit_macs(vit_cfg, input_size)
-    s_backbone, _, s_peak_vit = _vit_macs(vit_cfg, student_side)
+    t_total, t_peak = _vit_macs(vit_cfg, input_size)
+    s_backbone, s_peak_vit = _vit_macs(vit_cfg, student_side)
 
     p0, p1, p2 = adapter_cfg.pyramid_channels
     s = student_side
@@ -206,7 +206,6 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
         macs_student_backbone=s_backbone,
         macs_student_adapter=adapter,
         macs_student_head=head,
-        attention_scores_macs_teacher=t_scores,
         peak_act_teacher=t_peak,
         peak_act_student=peak_student,
         params_teacher=sum(t.size for _, t in init_backbone(vit_cfg, seed=0).items()),
@@ -214,9 +213,8 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     )
 
 
-def cost_table(reports: list[CostReport], timings: dict[int, tuple[float, float]] | None = None
-               ) -> str:
-    """Tab-separated cost table; wall-clock columns show '-' when unmeasured."""
+def cost_table(reports: list[CostReport], timings: dict[int, tuple[float, float]]) -> str:
+    """Tab-separated cost table; wall-clock columns show '-' for grids not in ``timings``."""
     lines = [f"# {FLOP_NOTE}",
              "grid\tflops_teacher\tflops_student\tratio\tpeak_act_teacher"
              "\tpeak_act_student\tparams_teacher\tparams_student"
@@ -224,7 +222,7 @@ def cost_table(reports: list[CostReport], timings: dict[int, tuple[float, float]
     for r in reports:
         ratio = r.flops_teacher / r.flops_student_total
         tt, ts = ("-", "-")
-        if timings and r.output_grid in timings:
+        if r.output_grid in timings:
             tt = f"{timings[r.output_grid][0]:.4f}"
             ts = f"{timings[r.output_grid][1]:.4f}"
         lines.append(f"{r.output_grid}\t{r.flops_teacher}\t{r.flops_student_total}"

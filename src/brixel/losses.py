@@ -93,11 +93,7 @@ def _as_student_node(fm) -> ad.Node:
 
 def _as_teacher_node(fm) -> ad.Node:
     """Teacher maps never carry gradients, whatever the caller hands us."""
-    if isinstance(fm, ad.Node):
-        return ad.detach(fm)
-    if isinstance(fm, FeatureMap):
-        return ad.constant(fm.data)
-    return ad.constant(np.asarray(fm))
+    return ad.detach(_as_student_node(fm))
 
 
 def _check_same_shape(student: ad.Node, teacher: ad.Node):

@@ -152,17 +152,15 @@ def head_forward(backbone_maps: np.ndarray, pyramid: list[ad.Node], cfg: Adapter
 
 
 def student_forward(img_low: ImageTensor, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                    frozen_w: ModelParams, params: ModelParams | dict[str, ad.Node]) -> ad.Node:
+                    frozen_w: ModelParams, params: dict[str, ad.Node]) -> ad.Node:
     """Full student on one image: frozen backbone on the low-res image +
     refiner + head, a (C, f*H, f*W) node.
 
-    ``params`` is a ``ModelParams`` (lifted to constants) or the graph nodes
-    of ``ModelParams.as_nodes``. The backbone branch is computed without
-    gradient tracking (its weights are frozen and the image is not
-    trainable), so gradients only ever reach the refiner/head parameters.
+    ``params`` are the graph nodes of ``ModelParams.as_nodes``. The backbone
+    branch is computed without gradient tracking (its weights are frozen and
+    the image is not trainable), so gradients only ever reach the
+    refiner/head parameters.
     """
-    if isinstance(params, ModelParams):
-        params = {k: ad.constant(v) for k, v in params.items()}
     bb = vit_forward(img_low, vit_cfg, frozen_w)
     pyramid = adapter_forward(img_low.data[None], adapter_cfg, params)
     out = head_forward(bb.data[None], pyramid, adapter_cfg, params)
@@ -173,5 +171,5 @@ def student_feature_map(img_low: ImageTensor, vit_cfg: ViTConfig,
                         adapter_cfg: AdapterConfig, frozen_w: ModelParams,
                         params: ModelParams) -> FeatureMap:
     """Inference-mode student output as a plain FeatureMap."""
-    out = student_forward(img_low, vit_cfg, adapter_cfg, frozen_w, params)
+    out = student_forward(img_low, vit_cfg, adapter_cfg, frozen_w, params.as_nodes())
     return FeatureMap(out.value)

@@ -71,7 +71,7 @@ class RunConfig:
             self.distill.loss_weights()
             t_grid = self.distill.teacher_resolution // self.vit.patch_size
             r0 = self.distill.spectral_config(t_grid, t_grid).r0
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         if t_grid < 3:  # the edge loss runs a 3x3 Sobel window over the teacher grid
             raise ConfigError(f"teacher grid {t_grid}x{t_grid} (teacher_resolution/patch_size) "

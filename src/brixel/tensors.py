@@ -88,7 +88,7 @@ class FeatureMap:
 # Resizing
 # ---------------------------------------------------------------------------
 
-def _bilinear_weights(n_in: int, n_out: int, dtype=F64) -> np.ndarray:
+def _bilinear_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Plain bilinear resampling matrix (n_out, n_in).
 
     Half-pixel centers with clamp-to-edge: output center j maps to input
@@ -107,7 +107,7 @@ def _bilinear_weights(n_in: int, n_out: int, dtype=F64) -> np.ndarray:
     return w
 
 
-def _area_weights(n_in: int, n_out: int, dtype=F64) -> np.ndarray:
+def _area_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Area (box-filter) resampling matrix (n_out, n_in).
 
     Output pixel j averages the input interval [j*s, (j+1)*s), s = n_in/n_out,
@@ -160,8 +160,6 @@ def resize_bilinear(img: ImageTensor, out_h: int, out_w: int, antialias: bool = 
     When downsampling with ``antialias`` on, an area-weighted box filter is
     applied so the result is free of spectral aliasing.
     """
-    if out_h < 1 or out_w < 1:
-        raise ValueError("target size must be >= 1 pixel")
     out = resize_plane(img.data, out_h, out_w, antialias)
     np.clip(out, 0.0, 1.0, out=out)
     return ImageTensor(out)

@@ -63,8 +63,9 @@ class DistillConfig:
             raise ConfigError("batch_size/dataset_size must be >= 1, total_iters >= 0")
         if self.pca_k < 1 or self.lr <= 0:
             raise ConfigError("pca_k must be >= 1 and lr positive")
-        if self.seed < 0 or not 0 <= self.warmup_epochs < math.inf:
-            raise ConfigError("seed must be >= 0 and warmup_epochs finite and >= 0")
+        if self.seed < 0 or not 0 <= self.warmup_epochs * self.epoch_iters < math.inf:
+            raise ConfigError("seed must be >= 0, and warmup_epochs >= 0 with a finite "
+                              "warmup_epochs * iterations per epoch")
         if self.r0 < 0:
             raise ConfigError(f"r0={self.r0} must be >= 0 (0 picks the half-Nyquist default)")
 
@@ -324,12 +325,11 @@ def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig)
 
 
 def run_training(run: TrainRun, dataset, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                 cfg: DistillConfig, iters: int | None = None, log_line=None) -> TrainRun:
-    """Advance a run by ``iters`` iterations (default: up to total_iters)."""
+                 cfg: DistillConfig, log_line=None) -> TrainRun:
+    """Advance a run from its ``start_iter`` to ``cfg.total_iters``."""
     teacher_src = make_teacher_source(cfg, vit_cfg, run.backbone)
     cache: dict = {}
-    end = cfg.total_iters if iters is None else run.start_iter + iters
-    for it in range(run.start_iter, end):
+    for it in range(run.start_iter, cfg.total_iters):
         batch = select_batch(dataset, cfg, it)
         metrics = train_step(batch, run.student, run.backbone, vit_cfg, adapter_cfg,
                              cfg, run.adam, it, teacher_src=teacher_src,
@@ -337,5 +337,5 @@ def run_training(run: TrainRun, dataset, vit_cfg: ViTConfig, adapter_cfg: Adapte
         run.metrics.append(metrics)
         if log_line is not None:
             log_line(format_metrics_line(metrics))
-    run.start_iter = end
+    run.start_iter = cfg.total_iters
     return run

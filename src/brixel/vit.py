@@ -17,6 +17,7 @@ The forward is tape-free numpy in the ``autodiff`` ops' order and scalar casts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,8 +46,9 @@ class ViTConfig:
                 f"heads {self.heads} must be >= 1 and divide embed_dim {self.embed_dim}")
         if self.patch_size < 1 or self.depth < 0:
             raise ValueError("patch_size must be >= 1 and depth >= 0")
-        if self.mlp_hidden < 1:
-            raise ValueError(f"mlp_ratio {self.mlp_ratio} gives {self.mlp_hidden} MLP units")
+        if not math.isfinite(self.mlp_ratio * self.embed_dim) or self.mlp_hidden < 1:
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} at embed_dim {self.embed_dim} must "
+                             "give a finite MLP width >= 1")
 
     @property
     def mlp_hidden(self) -> int:

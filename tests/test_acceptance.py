@@ -137,7 +137,7 @@ def test_criterion_02_gradient_oracle():
         def loss_at(theta: dict[str, np.ndarray]) -> float:
             mp = params.copy()
             mp.tensors.update(theta)
-            out = student_forward(img, vit_cfg, ada_cfg, frozen, mp)
+            out = student_forward(img, vit_cfg, ada_cfg, frozen, mp.as_nodes())
             return float(total_loss(out, t, p, weights, cfg).value)
 
         with ad.Tape() as tape:
@@ -254,8 +254,9 @@ def test_criterion_05_overfit_convergence(overfit_run):
         s_fm = student_feature_map(low, DESK_VIT, DESK_ADA, run.backbone, run.student)
         b_fm = upsample_baseline(vit_forward(low, DESK_VIT, run.backbone),
                                  DESK_ADA.upsample_factor)
-        cos_student.append(fidelity(s_fm, teacher).cosine)
-        cos_baseline.append(fidelity(b_fm, teacher).cosine)
+        scfg = DESK_CFG.spectral_config(*teacher.grid)
+        cos_student.append(fidelity(s_fm, teacher, scfg).cosine)
+        cos_baseline.append(fidelity(b_fm, teacher, scfg).cosine)
     margin = float(np.mean(cos_student) - np.mean(cos_baseline))
     if not margin >= 0.05:
         failures.append(f"cosine margin over bilinear baseline {margin:.4f} < 0.05")

@@ -39,7 +39,7 @@ def test_matmul_of_ones():
 def test_conv2d_constant_center():
     x = ad.constant(np.ones((1, 1, 3, 3)))
     w = ad.constant(np.ones((1, 1, 3, 3)))
-    y = ad.conv2d(x, w, padding=1)
+    y = ad.conv2d(x, w, np.zeros(1), padding=1)
     assert y.value.shape == (1, 1, 3, 3)
     assert y.value[0, 0, 1, 1] == 9.0
     assert y.value[0, 0, 0, 0] == 4.0  # zero padding trims the corner sum
@@ -306,7 +306,7 @@ def _op_factories():
                                        b=ad.constant(rng.standard_normal(3)):
                                        ad.layer_norm(x, g, b)), (2, 3, 2, 3)),
         "conv2d": (lambda rng: (lambda x, w=ad.constant(rng.standard_normal((2, 2, 3, 3))):
-                                ad.conv2d(x, w, padding=1)), (1, 2, 4, 4)),
+                                ad.conv2d(x, w, np.zeros(2), padding=1)), (1, 2, 4, 4)),
         "avg_pool": (lambda rng: (lambda x: ad.avg_pool2d(x, 2)), (1, 2, 4, 4)),
         "upsample": (lambda rng: (lambda x: ad.upsample_nearest(x, 2)), (1, 2, 3, 3)),
         "pixel_shuffle": (lambda rng: (lambda x: ad.pixel_shuffle(x, 2)), (1, 4, 3, 3)),
@@ -336,7 +336,7 @@ def test_grad_matches_fd_on_random_composites():
         beta = rng.standard_normal(4)
 
         def build(x):
-            y = ad.conv2d(x, ad.constant(w.copy()), stride=1, padding=1)
+            y = ad.conv2d(x, ad.constant(w.copy()), np.zeros(4), stride=1, padding=1)
             y = ad.gelu(y)
             y = ad.avg_pool2d(y, 2)
             y = ad.reshape(y, (4, 9))
@@ -382,7 +382,7 @@ def test_backward_determinism_bit_identical():
         with ad.Tape() as tape:
             x = ad.parameter(x0.copy())
             w = ad.parameter(w0.copy())
-            y = ad.gelu(ad.conv2d(x, w, padding=1))
+            y = ad.gelu(ad.conv2d(x, w, np.zeros(4), padding=1))
             tape.backward(ad.reduce_mean(ad.square(y)))
         return x.grad.tobytes(), w.grad.tobytes()
 
@@ -397,7 +397,7 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
     def build():
         x = ad.parameter(x0.copy())
         w = ad.parameter(w0.copy())
-        y = ad.gelu(ad.conv2d(x, w, padding=1))
+        y = ad.gelu(ad.conv2d(x, w, np.zeros(4), padding=1))
         return x, w, y, ad.reduce_mean(ad.square(ad.add(y, ad.mul(y, 0.5))))
 
     with ad.Tape() as tape:

@@ -129,7 +129,13 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "pyramid_channels=0,4,4", "fusion_channels=0",
                                   # 100 PCA components from the 64 tokens of one 8x8 grid
                                   "embed_dim=128\nheads=2\nstudent_resolution=16\n"
-                                  "batch_size=1\ndataset_size=1\npca_k=100"])
+                                  "batch_size=1\ndataset_size=1\npca_k=100",
+                                  # finite values whose products overflow: the MLP width
+                                  # and the warmup over 2 iterations per epoch
+                                  "mlp_ratio=1e308", "warmup_epochs=1e308\ndataset_size=4",
+                                  # iterations per epoch overflow a float
+                                  pytest.param("dataset_size=1" + "0" * 400,
+                                               id="dataset_size=10**400")])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"

@@ -1,7 +1,29 @@
+import math
+from typing import get_origin
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brixel.errors import ConfigError
-from brixel.runconfig import RunConfig, parse_config_text
+from brixel.runconfig import _KEY_TYPES, RunConfig, parse_config_text
+from brixel.training import warmup_lr
+
+_INTS = st.one_of(st.integers(-4, 300), st.sampled_from([2 ** 31, 2 ** 63, 10 ** 30]))
+_FLOATS = st.one_of(st.floats(-4, 300), st.floats(),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+_STRINGS = st.one_of(st.sampled_from(["live", "file:", "file:teachers"]), st.text(max_size=8))
+
+
+def _values_of(kind):
+    if get_origin(kind) is tuple:
+        return st.lists(_INTS, max_size=4).map(tuple)
+    return {int: _INTS, float: _FLOATS, str: _STRINGS}[kind]
+
+
+# any subset of the config keys, each with a value of its parse type
+_FLAT_CONFIGS = st.fixed_dictionaries(
+    {}, optional={key: _values_of(kind) for key, kind in _KEY_TYPES.items()})
 
 
 def test_defaults_match_training_setup():
@@ -62,3 +84,21 @@ def test_invalid_combination_becomes_config_error():
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         RunConfig.from_file("/nonexistent/run.cfg")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FLAT_CONFIGS)
+def test_any_flat_config_resolves_or_is_refused(values):
+    # a config the constructor accepts must also pass everything a run
+    # evaluates from it before and during step 0; no model is built here
+    try:
+        cfg = RunConfig(values)
+    except ConfigError:
+        return
+    d = cfg.distill
+    grid = d.teacher_resolution // cfg.vit.patch_size
+    cfg.resolved_text()
+    d.loss_weights()
+    d.spectral_config(grid, grid)
+    for iteration in (0, 1, d.warmup_iters):
+        warmup_lr(iteration, d)

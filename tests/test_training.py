@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -113,7 +114,8 @@ def test_warmup_rejects_negative_iteration():
 
 def run_short(iters=4, cfg=CFG):
     run = init_run(VIT, ADA, cfg)
-    return run_training(run, make_dataset(cfg), VIT, ADA, cfg, iters=iters)
+    return run_training(run, make_dataset(cfg), VIT, ADA,
+                        dataclasses.replace(cfg, total_iters=iters))
 
 
 def test_identical_seeds_give_bit_identical_traces():
@@ -127,7 +129,7 @@ def test_backbone_hash_constant_over_training():
     run = init_run(VIT, ADA, CFG)
     before = run.backbone.content_hash()
     student_before = run.student.content_hash()
-    run_training(run, make_dataset(), VIT, ADA, CFG, iters=4)
+    run_training(run, make_dataset(), VIT, ADA, dataclasses.replace(CFG, total_iters=4))
     assert run.backbone.content_hash() == before
     assert run.student.content_hash() != student_before
 
@@ -227,8 +229,9 @@ def test_every_public_autodiff_op_is_reached(monkeypatch):
     sid, img = batch[0]
     f = CFG.downsample_factor
     low = resize_bilinear(img, img.h // f, img.w // f, antialias=True)
-    fidelity(student_feature_map(low, VIT, ADA, run.backbone, run.student),
-             teacher_features(LiveTeacher(VIT, run.backbone), sid, img))
+    teacher = teacher_features(LiveTeacher(VIT, run.backbone), sid, img)
+    fidelity(student_feature_map(low, VIT, ADA, run.backbone, run.student), teacher,
+             CFG.spectral_config(*teacher.grid))
     assert sorted(set(ops) - called) == []
 
 
@@ -254,16 +257,16 @@ def test_resume_reproduces_unpaused_trace(tmp_path):
     ds = synthetic_dataset(cfg.dataset_size, cfg.teacher_resolution, cfg.seed)
 
     full = init_run(VIT, ADA, cfg)
-    run_training(full, ds, VIT, ADA, cfg, iters=14)
+    run_training(full, ds, VIT, ADA, cfg)
 
     part = init_run(VIT, ADA, cfg)
-    run_training(part, ds, VIT, ADA, cfg, iters=4)
+    run_training(part, ds, VIT, ADA, dataclasses.replace(cfg, total_iters=4))
     save_checkpoint(tmp_path / "ck", part.student, part.adam, iteration=part.start_iter)
 
     student, adam, it = load_checkpoint(tmp_path / "ck", init_student(VIT, ADA, seed=0))
     resumed = TrainRun(student=student, backbone=init_run(VIT, ADA, cfg).backbone,
                        adam=adam, start_iter=it)
-    run_training(resumed, ds, VIT, ADA, cfg, iters=10)
+    run_training(resumed, ds, VIT, ADA, cfg)
 
     tail = full.metrics[4:]
     assert len(resumed.metrics) == 10
