@@ -29,6 +29,8 @@ import threading
 
 import numpy as np
 
+from .errors import NumericError
+
 _tls = threading.local()
 
 
@@ -208,7 +210,7 @@ def absolute(a) -> Node:
 def log(a) -> Node:
     a = as_node(a)
     if np.any(a.value <= 0):
-        raise FloatingPointError("log of non-positive value")
+        raise NumericError("log of non-positive value")
     return _record(np.log(a.value), [(a, lambda g: g / a.value)])
 
 

@@ -33,7 +33,7 @@ from .evalbench import (
 from .imgio import image_to_rgb8, write_png, write_ppm
 from .refiner import student_feature_map
 from .runconfig import RunConfig
-from .tensors import ImageTensor, TensorFormatError, save_tensor
+from .tensors import ImageTensor, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
@@ -120,9 +120,9 @@ def cmd_extract(args) -> int:
     cfg = RunConfig.from_file(args.config)
     dataset = _load_dataset(args.data, cfg.distill.teacher_resolution,
                             cfg.distill.seed, cfg.distill.dataset_size)
+    backbone = init_run(cfg.vit, cfg.adapter, cfg.distill).backbone
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    backbone = init_run(cfg.vit, cfg.adapter, cfg.distill).backbone
     for sid, img in dataset:
         fm = vit_forward(img, cfg.vit, backbone)
         save_tensor(fm.data, out / f"{sid}.brxt")
@@ -269,9 +269,9 @@ def cmd_bench(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"output grid {g}: {exc}") from exc
 
+    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
     reports = [flop_model(cfg.vit, cfg.adapter, g * p) for g in grids]
     timings = {}
-    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
     rng = np.random.default_rng(cfg.distill.seed)
     for g in grids:
         if g * g > args.max_time_tokens:
@@ -349,10 +349,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataIOError, TensorFormatError, OSError) as exc:
+    except (DataIOError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -1,4 +1,4 @@
-"""Error taxonomy shared across modules; the CLI maps these to exit codes."""
+"""brixel's only exception classes; ``cli.main`` maps each to one exit code."""
 
 
 class ConfigError(ValueError):
@@ -6,8 +6,8 @@ class ConfigError(ValueError):
 
 
 class DataIOError(Exception):
-    """Unreadable or missing data/artifact files. Exit 3."""
+    """Unreadable, malformed or missing data/artifact files. Exit 3."""
 
 
 class NumericError(Exception):
-    """Non-finite loss or gradients; training cannot continue. Exit 4."""
+    """Non-finite loss, gradient, image or feature map, or the log of x <= 0. Exit 4."""

@@ -43,10 +43,6 @@ class LossWeights:
     edge: float = 1.0
     spectral: float = 0.1
 
-    def __post_init__(self):
-        if self.edge < 0 or self.spectral < 0:
-            raise ValueError("loss weights must be non-negative")
-
 
 @dataclass(frozen=True)
 class SpectralConfig:
@@ -54,12 +50,6 @@ class SpectralConfig:
 
     r0: int
     eps_log: float = 1e-8
-
-    def __post_init__(self):
-        if self.r0 < 1:
-            raise ValueError("r0 must be >= 1")
-        if self.eps_log <= 0:
-            raise ValueError("eps_log must be positive")
 
 
 def r_max_for_grid(h: int, w: int) -> int:

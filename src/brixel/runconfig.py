@@ -67,12 +67,10 @@ class RunConfig:
             self.vit, self.adapter, self.distill = (
                 cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
                 for cls in _SECTIONS)
-            # build the loss settings train_step builds, on the teacher grid
-            self.distill.loss_weights()
-            t_grid = self.distill.teacher_resolution // self.vit.patch_size
-            r0 = self.distill.spectral_config(t_grid, t_grid).r0
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
+        t_grid = self.distill.teacher_resolution // self.vit.patch_size
+        r0 = self.distill.spectral_config(t_grid, t_grid).r0
         if t_grid < 3:  # the edge loss runs a 3x3 Sobel window over the teacher grid
             raise ConfigError(f"teacher grid {t_grid}x{t_grid} (teacher_resolution/patch_size) "
                               "is smaller than the 3x3 Sobel window of the edge loss")

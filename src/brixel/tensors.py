@@ -2,9 +2,9 @@
 token/grid layout conversion, and the ``.brxt`` binary serialization format.
 
 Arrays are plain contiguous row-major ``numpy.ndarray`` values in float32
-(training) or float64 (gradient-check builds). Every public operation
-validates that its output is finite; NaN/Inf is always an error, never a
-silent value.
+(training) or float64 (gradient-check builds). An ``ImageTensor`` or
+``FeatureMap`` holding NaN/Inf raises ``NumericError``; a malformed ``.brxt``
+file raises ``DataIOError``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataIOError, NumericError
+
 F32 = np.float32
-F64 = np.float64
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -26,14 +27,10 @@ _MAGIC = b"BRXT"
 _FORMAT_VERSION = 1
 
 
-class TensorFormatError(ValueError):
-    """Raised for malformed .brxt files (bad magic, truncation, ...)."""
-
-
 def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     """Return ``arr`` unchanged, raising if it contains NaN or Inf."""
     if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")
+        raise NumericError(f"non-finite values in {what}")
     return arr
 
 
@@ -211,33 +208,33 @@ def load_tensor(path) -> np.ndarray:
     """Read a .brxt file back into a contiguous, writable array."""
     raw = Path(path).read_bytes()
     if len(raw) < 10:
-        raise TensorFormatError(f"{path}: truncated header")
+        raise DataIOError(f"{path}: truncated header")
     if raw[:4] != _MAGIC:
-        raise TensorFormatError(f"{path}: bad magic {raw[:4]!r}")
+        raise DataIOError(f"{path}: bad magic {raw[:4]!r}")
     version, dtype_code, ndim = struct.unpack_from("<IBB", raw, 4)
     if version != _FORMAT_VERSION:
-        raise TensorFormatError(f"{path}: unsupported format version {version}")
+        raise DataIOError(f"{path}: unsupported format version {version}")
     if dtype_code not in _CODE_DTYPES:
-        raise TensorFormatError(f"{path}: unknown dtype code {dtype_code}")
+        raise DataIOError(f"{path}: unknown dtype code {dtype_code}")
     if ndim < 1:
-        raise TensorFormatError(f"{path}: ndim must be >= 1")
+        raise DataIOError(f"{path}: ndim must be >= 1")
     dims_end = 10 + 8 * ndim
     if len(raw) < dims_end:
-        raise TensorFormatError(f"{path}: truncated dimension list")
+        raise DataIOError(f"{path}: truncated dimension list")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 10)
     dtype = _CODE_DTYPES[dtype_code]
     count = 1
     for d in dims:
         if d == 0:
-            raise TensorFormatError(f"{path}: zero-sized dimension")
+            raise DataIOError(f"{path}: zero-sized dimension")
         count *= d
     payload = memoryview(raw)[dims_end:]
     expected = count * dtype.itemsize
     if len(payload) < expected:
-        raise TensorFormatError(
+        raise DataIOError(
             f"{path}: truncated payload ({len(payload)} bytes for {count} elements)"
         )
     if len(payload) > expected:
-        raise TensorFormatError(f"{path}: payload length mismatch ({len(payload)} > {expected})")
+        raise DataIOError(f"{path}: payload length mismatch ({len(payload)} > {expected})")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return arr.astype(arr.dtype.newbyteorder("="))

@@ -36,7 +36,8 @@ METRICS_COLUMNS = ("iter", "lr", "l1", "edge", "spectral", "total", "gradnorm")
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Hyperparameters of one training run (desk-scale defaults)."""
+    """Hyperparameters of one training run (desk-scale defaults). Each check
+    that reads only these fields lives here and raises :class:`ConfigError`."""
 
     student_resolution: int = 64
     downsample_factor: int = 4
@@ -68,6 +69,11 @@ class DistillConfig:
                               "warmup_epochs * iterations per epoch")
         if self.r0 < 0:
             raise ConfigError(f"r0={self.r0} must be >= 0 (0 picks the half-Nyquist default)")
+        if self.lambda_edge < 0 or self.lambda_spectral < 0 or self.eps_log <= 0:
+            raise ConfigError("lambda_edge and lambda_spectral must be >= 0 and eps_log > 0")
+        if self.teacher_source != "live" and not self.teacher_source.startswith("file:"):
+            raise ConfigError(f"unknown teacher_source {self.teacher_source!r} "
+                              "(expected 'live' or 'file:<dir>')")
 
     @property
     def teacher_resolution(self) -> int:
@@ -159,14 +165,11 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 def make_teacher_source(cfg: DistillConfig, vit_cfg: ViTConfig, backbone: ModelParams):
-    spec = cfg.teacher_source
-    if spec == "live":
+    if cfg.teacher_source == "live":
         return LiveTeacher(vit_cfg, backbone)
-    if spec.startswith("file:"):
-        grid = cfg.teacher_resolution // vit_cfg.patch_size
-        return FileTeacher(Path(spec[5:]), (vit_cfg.embed_dim, grid, grid),
-                           backbone["patch_embed.w"].dtype)
-    raise ConfigError(f"unknown teacher_source {spec!r} (expected 'live' or 'file:<dir>')")
+    grid = cfg.teacher_resolution // vit_cfg.patch_size
+    return FileTeacher(Path(cfg.teacher_source.removeprefix("file:")),
+                       (vit_cfg.embed_dim, grid, grid), backbone["patch_embed.w"].dtype)
 
 
 def student_input(img: ImageTensor, cfg: DistillConfig) -> ImageTensor:
@@ -319,8 +322,11 @@ def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig)
     """A run at iteration 0. The one home of the seed rule: the frozen backbone
     is seeded with ``cfg.seed`` and the student with ``cfg.seed + 1``, so a
     checkpoint's template and backbone also come from here."""
-    backbone = init_backbone(vit_cfg, seed=cfg.seed)
-    student = init_student(vit_cfg, adapter_cfg, seed=cfg.seed + 1)
+    try:
+        backbone = init_backbone(vit_cfg, seed=cfg.seed)
+        student = init_student(vit_cfg, adapter_cfg, seed=cfg.seed + 1)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate the configured model: {exc}") from exc
     return TrainRun(student=student, backbone=backbone, adam=init_adam(student), start_iter=0)
 
 

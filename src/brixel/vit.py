@@ -190,22 +190,19 @@ class FileTeacher:
 
 
 def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap:
-    """Target feature map for one sample; always detached from any graph."""
+    """Target map for one sample from a :class:`LiveTeacher` (run on ``img``) or
+    a :class:`FileTeacher` (``img`` unused); always detached from any graph."""
     if isinstance(src, LiveTeacher):
-        if img is None:
-            raise ValueError("live teacher needs the high-resolution image")
         return vit_forward(img, src.cfg, src.weights)
-    if isinstance(src, FileTeacher):
-        path = Path(src.directory) / f"{sample_id}.brxt"
-        if not path.exists():
-            raise DataIOError(f"missing teacher feature file: {path}")
-        data = load_tensor(path)
-        if tuple(data.shape) != tuple(src.expected_shape):
-            raise ConfigError(
-                f"teacher file {path} has shape {data.shape}, run config expects "
-                f"{tuple(src.expected_shape)}")
-        if data.dtype != src.expected_dtype:
-            raise ConfigError(f"teacher file {path} has dtype {data.dtype}, run config "
-                              f"expects {src.expected_dtype}")
-        return FeatureMap(data)
-    raise TypeError(f"unknown teacher source {type(src)!r}")
+    path = Path(src.directory) / f"{sample_id}.brxt"
+    if not path.exists():
+        raise DataIOError(f"missing teacher feature file: {path}")
+    data = load_tensor(path)
+    if tuple(data.shape) != tuple(src.expected_shape):
+        raise ConfigError(
+            f"teacher file {path} has shape {data.shape}, run config expects "
+            f"{tuple(src.expected_shape)}")
+    if data.dtype != src.expected_dtype:
+        raise ConfigError(f"teacher file {path} has dtype {data.dtype}, run config "
+                          f"expects {src.expected_dtype}")
+    return FeatureMap(data)

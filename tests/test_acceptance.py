@@ -32,7 +32,7 @@ from brixel.losses import (
     total_loss,
 )
 from brixel.refiner import AdapterConfig, init_student, student_feature_map, student_forward
-from brixel.tensors import F64, ImageTensor, grid_to_tokens, resize_bilinear
+from brixel.tensors import ImageTensor, grid_to_tokens, resize_bilinear
 from brixel.training import DistillConfig, init_run, run_training
 from brixel.vit import ViTConfig, init_backbone, vit_forward, vit_tokens
 from oracles import finite_difference_grad, loop_radial_spectrum, max_rel_err
@@ -125,8 +125,8 @@ def test_criterion_02_gradient_oracle():
         c = int(rng.choice([4, 8]))
         vit_cfg = ViTConfig(patch_size=8, embed_dim=c, depth=1, heads=2)
         ada_cfg = AdapterConfig(pyramid_channels=(3, 3, 3), fusion_channels=6, head_blocks=1)
-        frozen = init_backbone(vit_cfg, seed=case).astype(F64)
-        params = init_student(vit_cfg, ada_cfg, seed=100 + case, dtype=F64)
+        frozen = init_backbone(vit_cfg, seed=case).astype(np.float64)
+        params = init_student(vit_cfg, ada_cfg, seed=100 + case, dtype=np.float64)
         img = ImageTensor(rng.random((3, 16, 16)))  # output grid 8x8 <= 12x12
         t = rng.standard_normal((c, 8, 8))
         k = int(rng.integers(1, min(4, c) + 1))

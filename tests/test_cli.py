@@ -1,7 +1,18 @@
+import ast
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import brixel
+from brixel import cli
 from brixel.cli import main
+from brixel.errors import ConfigError, DataIOError, NumericError
 from brixel.data import load_directory
 from brixel.imgio import image_to_rgb8, read_ppm, write_ppm
 from brixel.tensors import load_tensor, save_tensor
@@ -135,7 +146,10 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "mlp_ratio=1e308", "warmup_epochs=1e308\ndataset_size=4",
                                   # iterations per epoch overflow a float
                                   pytest.param("dataset_size=1" + "0" * 400,
-                                               id="dataset_size=10**400")])
+                                               id="dataset_size=10**400"),
+                                  "teacher_source=carrier-pigeon",
+                                  # models numpy refuses before allocating anything
+                                  "mlp_ratio=1e300", f"embed_dim={2 ** 62}"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"
@@ -145,13 +159,59 @@ def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and "Traceback" not in err
-    assert not (out / "metrics.tsv").exists() or read_metrics(out) == []
+    assert not out.exists()
 
 
 def test_unreadable_data_exit_3(tmp_path, cfg_file):
     code = main(["distill", "--config", str(cfg_file), "--data",
                  str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@st.composite
+def _ppm_files(draw):
+    """Bytes of one .ppm file: a valid P6 image or one of the ways a file can
+    fail to be one."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    comment = b"# scanned\n" if draw(st.booleans()) else b""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    payload = rng.integers(0, 256, w * h * 3, dtype=np.uint8).tobytes()
+    header = b"P6\n" + comment + f"{w} {h}\n".encode()
+    kind = draw(st.sampled_from(["valid", "truncated", "magic", "maxval", "zero_width",
+                                 "non_digit", "garbage"]))
+    if kind == "truncated":
+        return header + b"255\n" + payload[:draw(st.integers(0, len(payload) - 1))]
+    if kind == "magic":
+        return b"P3" + header[2:] + b"255\n" + payload
+    if kind == "maxval":
+        return header + b"65535\n" + payload + payload
+    if kind == "zero_width":
+        return f"P6\n0 {h}\n255\n".encode() + payload
+    if kind == "non_digit":
+        return f"P6\n{w}px {h}\n255\n".encode() + payload
+    if kind == "garbage":
+        return draw(st.binary(max_size=64))
+    return header + b"255\n" + payload
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_ppm_files(), min_size=1, max_size=3))
+def test_any_image_directory_trains_or_exits_3(files):
+    # a directory of valid and damaged files trains or is refused as data,
+    # and a refused run leaves no --out behind
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data, out, cfg = root / "data", root / "out", root / "run.cfg"
+        data.mkdir()
+        for i, raw in enumerate(files):
+            (data / f"img{i}.ppm").write_bytes(raw)
+        cfg.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=1"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["distill", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out)])
+        assert code in (0, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+        assert code == 0 or not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -210,6 +270,19 @@ def test_refused_resume_writes_nothing(tmp_path, cfg_file, capsys):
                  "--out", str(out), "--resume"])
     assert code == 2
     assert "beyond total_iters=1" in capsys.readouterr().err
+    assert [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")] == before
+
+
+def test_refused_fresh_run_into_used_out_writes_nothing(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out)]) == 0
+    before = [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")]
+    pigeon = tmp_path / "pigeon.cfg"
+    pigeon.write_text(TINY_CONFIG + "teacher_source=carrier-pigeon\n")
+    code = main(["distill", "--config", str(pigeon), "--data", "synthetic", "--out", str(out)])
+    assert code == 2
+    assert "carrier-pigeon" in capsys.readouterr().err
     assert [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")] == before
 
 
@@ -298,6 +371,21 @@ def test_extract_empty_dir_exit_3(tmp_path, cfg_file):
     empty.mkdir()
     assert main(["extract", "--config", str(cfg_file), "--data", str(empty),
                  "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("command, line", [
+    ("extract", f"embed_dim={2 ** 62}"),
+    ("bench", "mlp_ratio=1e300"),
+])
+def test_unallocatable_model_exit_2_writes_nothing(tmp_path, capsys, command, line):
+    bad = tmp_path / "big.cfg"
+    bad.write_text(TINY_CONFIG + line + "\n")
+    out = tmp_path / "o"
+    data = ["--data", "synthetic"] if command == "extract" else ["--sizes", "8,16"]
+    assert main([command, "--config", str(bad), *data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot allocate") and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +538,47 @@ def test_bench_table_contract(tmp_path, cfg_file, capsys):
 def test_bench_rejects_bad_grid(tmp_path, cfg_file, capsys, size):
     assert main(["bench", "--config", str(cfg_file), "--sizes", size]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ConfigError("bad key"), 2, "config error:"),
+    (DataIOError("bad file"), 3, "io error:"),
+    (OSError("disk full"), 3, "io error:"),
+    (NumericError("nan loss"), 4, "numeric failure:"),
+])
+def test_main_maps_each_error_class_to_one_exit_code(monkeypatch, capsys, exc, code, prefix):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_bench", fail)
+    assert main(["bench", "--config", "unused.cfg", "--sizes", "8"]) == code
+    assert capsys.readouterr().err == f"{prefix} {exc}\n"
+
+
+def test_main_lets_other_exceptions_propagate(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli, "cmd_bench", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["bench", "--config", "unused.cfg", "--sizes", "8"])
+
+
+def test_only_the_errors_module_defines_exception_classes():
+    # cli.main maps each class in brixel.errors to one exit code; a class
+    # defined elsewhere would reach the user as a traceback or a second
+    # name for an existing code
+    defined = []
+    for path in sorted(Path(brixel.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception", "Warning"))
+                    for base in node.bases):
+                defined.append(f"{path.name}: {node.name}")
+    assert defined == []

@@ -27,7 +27,7 @@ from brixel.training import (
 )
 from brixel import training
 from brixel.data import synthetic_dataset
-from brixel.tensors import F64, resize_bilinear
+from brixel.tensors import resize_bilinear
 from brixel.vit import LiveTeacher, ViTConfig, init_backbone, teacher_features
 from oracles import per_sample_step
 
@@ -154,7 +154,7 @@ def test_metrics_line_format():
 def test_train_step_rejects_nonfinite_student():
     run = init_run(VIT, ADA, CFG)
     run.student.tensors["head.out.w"][:] = np.inf
-    with pytest.raises((NumericError, FloatingPointError)):
+    with pytest.raises(NumericError):
         train_step(make_dataset()[:2], run.student, run.backbone, VIT, ADA, CFG,
                    run.adam, iteration=0,
                    teacher_src=make_teacher_source(CFG, VIT, run.backbone), sample_cache={})
@@ -174,8 +174,8 @@ def test_batched_step_matches_per_sample_oracle(monkeypatch):
     per-sample losses must be bit-equal and the gradients agree to 1e-12."""
     vit_cfg, ada_cfg = ViTConfig(), AdapterConfig()
     cfg = DistillConfig(batch_size=3, dataset_size=3, seed=2)
-    backbone = init_backbone(vit_cfg, seed=cfg.seed).astype(F64)
-    student = init_student(vit_cfg, ada_cfg, seed=cfg.seed + 1, dtype=F64)
+    backbone = init_backbone(vit_cfg, seed=cfg.seed).astype(np.float64)
+    student = init_student(vit_cfg, ada_cfg, seed=cfg.seed + 1, dtype=np.float64)
     batch = select_batch(make_dataset(cfg), cfg, 0)
     rows, want = per_sample_step(batch, student.copy(), backbone, vit_cfg, ada_cfg, cfg)
 
@@ -295,12 +295,8 @@ def test_load_checkpoint_missing_dir(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_unknown_teacher_source_rejected():
-    cfg = DistillConfig(teacher_source="carrier-pigeon")
-    from brixel.training import make_teacher_source
-    from brixel.vit import init_backbone
-
-    with pytest.raises(ConfigError):
-        make_teacher_source(cfg, VIT, init_backbone(VIT, seed=0))
+    with pytest.raises(ConfigError, match="carrier-pigeon"):
+        DistillConfig(teacher_source="carrier-pigeon")
 
 
 def test_config_invariants():
