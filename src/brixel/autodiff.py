@@ -1,17 +1,17 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
 The op set is exactly what the refiner/head and the three distillation
-losses reach (the frozen ViT runs tape-free, in plain numpy): elementwise
-arithmetic, (broadcasting) matmul, reshape and concat, sums, the amplitude
-of an orthonormal real 2-d FFT, 2-d convolution plus a per-channel bias,
-nearest upsampling, pixel shuffle and GELU. Three composites,
-``reduce_mean``, a ``layer_norm`` over the channel axis and ``avg_pool2d``
-(a mean over the window axes of a reshaped view), are built from the
-primitives so their gradients come for free. A non-node operand of a
-binary op takes the other operand's dtype; two nodes of different dtypes
-are a ``TypeError``. ``conv2d`` never materialises its padding, and folds
-the batch into the GEMM column axis, so a batch costs one GEMM forward and
-one each for the weight and input gradients.
+losses reach: elementwise arithmetic, (broadcasting) matmul, reshape and
+concat, sums, the amplitude of an orthonormal real 2-d FFT, 2-d convolution
+plus a per-channel bias, nearest upsampling, pixel shuffle and GELU. The
+frozen ViT also runs ``layer_norm`` and ``gelu``, on plain arrays that no
+tape records. Three composites, ``reduce_mean``, a ``layer_norm`` over the
+channel axis and ``avg_pool2d`` (a mean over the window axes of a reshaped
+view), are built from the primitives so their gradients come for free. A
+non-node operand of a binary op takes the other operand's dtype; two nodes
+of different dtypes are a ``TypeError``. ``conv2d`` never materialises its
+padding, and folds the batch into the GEMM column axis, so a batch costs
+one GEMM forward and one each for the weight and input gradients.
 
 A :class:`Tape` is confined to one training step on one thread; the graph is
 rebuilt every step and consumed by a single ``backward`` call, which frees
@@ -428,14 +428,14 @@ def pixel_shuffle(a, r: int) -> Node:
 # Composites
 # ---------------------------------------------------------------------------
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
+def layer_norm(x, gamma, beta) -> Node:
     """Normalize over axis 1, the channel axis of (N, C) tokens and of
     (N, C, H, W) maps, then scale and shift by the (C,) gamma and beta."""
     x = as_node(x)
     mu = reduce_mean(x, axis=1, keepdims=True)
     xc = sub(x, mu)
     var = reduce_mean(square(xc), axis=1, keepdims=True)
-    xn = div(xc, sqrt(add(var, eps)))
+    xn = div(xc, sqrt(add(var, 1e-5)))
     per_channel = (-1,) + (1,) * (x.value.ndim - 2)
     return add(mul(xn, reshape(gamma, per_channel)), reshape(beta, per_channel))
 
@@ -453,17 +453,12 @@ def avg_pool2d(a, k: int) -> Node:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-form GELU of an array, and the tanh term its derivative reuses."""
-    th = np.tanh(_GELU_C * (v + 0.044715 * v * v * v))
-    return (0.5 * v * (1.0 + th)).astype(v.dtype, copy=False), th
-
-
 def gelu(x) -> Node:
     """Tanh-form gaussian error linear unit (primitive; analytic gradient)."""
     x = as_node(x)
     v = x.value
-    out, th = _gelu_parts(v)
+    th = np.tanh(_GELU_C * (v + 0.044715 * v * v * v))
+    out = (0.5 * v * (1.0 + th)).astype(v.dtype, copy=False)
 
     def vjp(g):
         sech2 = 1.0 - th * th

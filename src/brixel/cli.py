@@ -85,10 +85,12 @@ def cmd_distill(args) -> int:
         raise ConfigError(f"checkpoint is at iteration {run.start_iter}, beyond "
                           f"total_iters={cfg.distill.total_iters}")
 
+    kept = _kept_metrics(out / "metrics.tsv", run.start_iter)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(cfg.resolved_text())
-    _truncate_metrics(out / "metrics.tsv", run.start_iter)
-    with open(out / "metrics.tsv", "a") as log:
+    with open(out / "metrics.tsv", "w") as log:
+        log.write(kept)
+
         def log_line(line: str):
             log.write(line + "\n")
             log.flush()
@@ -101,15 +103,18 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _truncate_metrics(path: Path, start_iter: int) -> None:
-    """Keep only the complete rows of iterations before ``start_iter``, so
-    rows an interrupted leg logged past its checkpoint are not numbered twice."""
-    if not path.exists():
-        return
-    rows = [line.split("\t") for line in path.read_text().splitlines()]
-    path.write_text("".join("\t".join(row) + "\n" for row in rows
-                            if len(row) == len(METRICS_COLUMNS) and row[0].isdigit()
-                            and int(row[0]) < start_iter))
+def _kept_metrics(path: Path, start_iter: int) -> str:
+    """The complete rows of iterations before ``start_iter`` in the run's log,
+    so rows an interrupted leg logged past its checkpoint are not numbered twice."""
+    if start_iter == 0 or not path.exists():
+        return ""
+    try:
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    except UnicodeDecodeError as exc:
+        raise DataIOError(f"run log {path} is not UTF-8 text: {exc}") from exc
+    return "".join("\t".join(row) + "\n" for row in rows
+                   if len(row) == len(METRICS_COLUMNS) and row[0].isdecimal()
+                   and int(row[0]) < start_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +191,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_probe(cfg, student, backbone, count: int = 12):
+def _run_probe(cfg, student, backbone):
     d = cfg.distill
-    samples = two_region_dataset(count, d.teacher_resolution, d.seed)
+    samples = two_region_dataset(12, d.teacher_resolution, d.seed)
     feats_s, feats_b, masks = [], [], []
     for _, img, mask in samples:
         s_fm, base_fm, _ = _student_and_baseline(img, cfg, student, backbone)
         feats_s.append(s_fm)
         feats_b.append(base_fm)
         masks.append(mask)
-    half = count // 2
+    half = len(samples) // 2
     probe_s = linear_probe_train(feats_s[:half], masks[:half], classes=2)
     probe_b = linear_probe_train(feats_b[:half], masks[:half], classes=2)
     miou_s, acc_s = linear_probe_eval(feats_s[half:], masks[half:], probe_s)

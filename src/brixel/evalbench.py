@@ -279,13 +279,6 @@ def cost_svg(reports: list[CostReport]) -> str:
 # Toy linear probe
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LinearProbe:
-    weight: np.ndarray  # (C, classes)
-    bias: np.ndarray    # (classes,)
-    classes: int
-
-
 def _token_labels(mask: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     """Nearest-sampled per-token labels at half-pixel token centers."""
     h, w = mask.shape
@@ -295,10 +288,11 @@ def _token_labels(mask: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return mask[np.ix_(ys, xs)]
 
 
-def linear_probe_train(features: list[FeatureMap], masks: list[np.ndarray], classes: int,
-                       lr: float = 1e-2, iters: int = 500, seed: int = 0) -> LinearProbe:
-    """Per-token softmax classifier trained with ``training.adam_step``
-    (artifact hyperparameters)."""
+def linear_probe_train(features: list[FeatureMap], masks: list[np.ndarray],
+                       classes: int) -> ModelParams:
+    """Per-token softmax classifier: weights ``w`` (C, classes) and bias ``b``,
+    trained by 500 full-batch ``training.adam_step`` updates at lr 1e-2 from a
+    seed-0 init."""
     xs, ys = [], []
     for fm, mask in zip(features, masks):
         xs.append(fm.tokens().astype(np.float64))
@@ -306,26 +300,26 @@ def linear_probe_train(features: list[FeatureMap], masks: list[np.ndarray], clas
     x = np.concatenate(xs, axis=0)
     y = np.concatenate(ys, axis=0)
     n, c = x.shape
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     params = ModelParams({"w": 0.01 * rng.standard_normal((c, classes)),
                           "b": np.zeros(classes)}, trainable=True)
     adam = init_adam(params)
     onehot = np.eye(classes)[y]
-    for _ in range(iters):
+    for _ in range(500):
         logits = x @ params["w"] + params["b"]
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         glogits = (p - onehot) / n
-        adam_step(params, {"w": x.T @ glogits, "b": glogits.sum(axis=0)}, adam, lr)
-    return LinearProbe(weight=params["w"], bias=params["b"], classes=classes)
+        adam_step(params, {"w": x.T @ glogits, "b": glogits.sum(axis=0)}, adam, 1e-2)
+    return params
 
 
-def probe_predict(fm: FeatureMap, probe: LinearProbe, out_hw: tuple[int, int]) -> np.ndarray:
+def probe_predict(fm: FeatureMap, probe: ModelParams, out_hw: tuple[int, int]) -> np.ndarray:
     """Per-token logits, bilinearly upsampled to label resolution, argmaxed."""
     gh, gw = fm.grid
-    logits = (fm.tokens().astype(np.float64) @ probe.weight + probe.bias)
-    planes = logits.reshape(gh, gw, probe.classes).transpose(2, 0, 1)
+    logits = (fm.tokens().astype(np.float64) @ probe["w"] + probe["b"])
+    planes = logits.reshape(gh, gw, -1).transpose(2, 0, 1)
     return np.argmax(resize_plane(planes, out_hw[0], out_hw[1], antialias=False), axis=0)
 
 
@@ -357,6 +351,6 @@ def miou_pixacc(preds: list[np.ndarray], truths: list[np.ndarray], classes: int
 
 
 def linear_probe_eval(features: list[FeatureMap], masks: list[np.ndarray],
-                      probe: LinearProbe) -> tuple[float, float]:
+                      probe: ModelParams) -> tuple[float, float]:
     preds = [probe_predict(fm, probe, mask.shape) for fm, mask in zip(features, masks)]
-    return miou_pixacc(preds, masks, probe.classes)
+    return miou_pixacc(preds, masks, probe["w"].shape[1])

@@ -40,8 +40,8 @@ _AMP_EPS = 1e-24
 
 @dataclass(frozen=True)
 class LossWeights:
-    edge: float = 1.0
-    spectral: float = 0.1
+    edge: float
+    spectral: float
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class SpectralConfig:
     """Radial-spectrum comparison above cutoff radius r0 (integer bins)."""
 
     r0: int
-    eps_log: float = 1e-8
+    eps_log: float
 
 
 def r_max_for_grid(h: int, w: int) -> int:

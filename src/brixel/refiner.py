@@ -59,7 +59,7 @@ class AdapterConfig:
         return self.upsample_factor.bit_length() - 1
 
 
-def init_student(vit_cfg: ViTConfig, cfg: AdapterConfig, seed: int, dtype=F32) -> ModelParams:
+def init_student(vit_cfg: ViTConfig, cfg: AdapterConfig, seed: int) -> ModelParams:
     """Fan-in-scaled random init; the final projection gets scale 0.01."""
     rng = np.random.default_rng(seed)
     c = vit_cfg.embed_dim
@@ -69,8 +69,8 @@ def init_student(vit_cfg: ViTConfig, cfg: AdapterConfig, seed: int, dtype=F32) -
 
     def conv(name, cout, cin, k, scale=1.0):
         w[name + ".w"] = (scale * rng.standard_normal((cout, cin, k, k))
-                          / np.sqrt(cin * k * k)).astype(dtype)
-        w[name + ".b"] = np.zeros(cout, dtype=dtype)
+                          / np.sqrt(cin * k * k)).astype(F32)
+        w[name + ".b"] = np.zeros(cout, dtype=F32)
 
     conv("adapter.conv1", p0, 3, 3)
     conv("adapter.conv2", p0, p0, 3)
@@ -81,8 +81,8 @@ def init_student(vit_cfg: ViTConfig, cfg: AdapterConfig, seed: int, dtype=F32) -
     for i in range(cfg.head_blocks):
         conv(f"head.block{i}.conv1", f, f, 3)
         conv(f"head.block{i}.conv2", f, f, 3)
-        w[f"head.block{i}.n.g"] = np.ones(f, dtype=dtype)
-        w[f"head.block{i}.n.b"] = np.zeros(f, dtype=dtype)
+        w[f"head.block{i}.n.g"] = np.ones(f, dtype=F32)
+        w[f"head.block{i}.n.b"] = np.zeros(f, dtype=F32)
     for j in range(cfg.upsample_stages):
         conv(f"head.up{j}", 4 * f, f, 3)
     conv("head.out", c, f, 1, scale=0.01)

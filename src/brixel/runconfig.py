@@ -101,7 +101,11 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        return cls(parse_config_text(path.read_text()))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        return cls(parse_config_text(text))
 
     def with_distill(self, **overrides) -> "RunConfig":
         values = self.as_dict()

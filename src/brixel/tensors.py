@@ -27,7 +27,7 @@ _MAGIC = b"BRXT"
 _FORMAT_VERSION = 1
 
 
-def require_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
+def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """Return ``arr`` unchanged, raising if it contains NaN or Inf."""
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {what}")

@@ -67,6 +67,8 @@ class DistillConfig:
         if self.seed < 0 or not 0 <= self.warmup_epochs * self.epoch_iters < math.inf:
             raise ConfigError("seed must be >= 0, and warmup_epochs >= 0 with a finite "
                               "warmup_epochs * iterations per epoch")
+        if self.grad_clip < 0:
+            raise ConfigError(f"grad_clip={self.grad_clip} must be >= 0 (0 turns clipping off)")
         if self.r0 < 0:
             raise ConfigError(f"r0={self.r0} must be >= 0 (0 picks the half-Nyquist default)")
         if self.lambda_edge < 0 or self.lambda_spectral < 0 or self.eps_log <= 0:
@@ -169,7 +171,7 @@ def make_teacher_source(cfg: DistillConfig, vit_cfg: ViTConfig, backbone: ModelP
         return LiveTeacher(vit_cfg, backbone)
     grid = cfg.teacher_resolution // vit_cfg.patch_size
     return FileTeacher(Path(cfg.teacher_source.removeprefix("file:")),
-                       (vit_cfg.embed_dim, grid, grid), backbone["patch_embed.w"].dtype)
+                       (vit_cfg.embed_dim, grid, grid))
 
 
 def student_input(img: ImageTensor, cfg: DistillConfig) -> ImageTensor:
@@ -256,10 +258,11 @@ def load_checkpoint(ckpt_dir, template: ModelParams) -> tuple[ModelParams, AdamS
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise DataIOError(f"no checkpoint manifest at {manifest}")
-    names = []
-    for line in manifest.read_text().splitlines():
-        if line.strip():
-            names.append(line.split("\t")[0])
+    try:
+        names = [line.split("\t")[0] for line in manifest.read_text(encoding="utf-8").splitlines()
+                 if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataIOError(f"damaged checkpoint manifest {manifest}: {exc}") from exc
     if set(names) != set(template.names()):
         missing = set(template.names()) - set(names)
         extra = set(names) - set(template.names())
@@ -288,6 +291,9 @@ def load_checkpoint(ckpt_dir, template: ModelParams) -> tuple[ModelParams, AdamS
         iteration, adam_t = int(state["iter"]), int(state["adam_t"])
     except (KeyError, ValueError) as exc:
         raise DataIOError(f"damaged checkpoint state {state_path}: {exc!r}") from exc
+    if iteration < 0 or adam_t < 0:
+        raise DataIOError(f"damaged checkpoint state {state_path}: iter {iteration} "
+                          f"and adam_t {adam_t} must be >= 0")
     adam = AdamState(m=m, v=v, t=adam_t)
     return ModelParams(tensors, trainable=True), adam, iteration
 

@@ -11,8 +11,9 @@ no blocks, no final normalization.
 
 Distillation targets the post-final-normalization patch tokens.
 
-The forward is tape-free numpy in the ``autodiff`` ops' order and scalar casts
-(so bits match); attention softmaxes one head's (N, N) scores at a time, in place.
+The forward runs on plain arrays, so no tape records it: layer norm and GELU
+are the ``autodiff`` ops on constant operands, and attention softmaxes one
+head's (N, N) scores at a time, in place.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ViTConfig:
         return int(round(self.mlp_ratio * self.embed_dim))
 
 
-def init_backbone(cfg: ViTConfig, seed: int, dtype=F32) -> ModelParams:
+def init_backbone(cfg: ViTConfig, seed: int) -> ModelParams:
     """Seeded random frozen backbone weights (stand-in for a pretrained model).
 
     Plain fan-in init makes a random ViT emit nearly identical tokens: at
@@ -73,32 +74,32 @@ def init_backbone(cfg: ViTConfig, seed: int, dtype=F32) -> ModelParams:
     w: dict[str, np.ndarray] = {}
 
     def normal(shape, fan_in, scale=1.0):
-        return (scale * rng.standard_normal(shape) / np.sqrt(fan_in)).astype(dtype)
+        return (scale * rng.standard_normal(shape) / np.sqrt(fan_in)).astype(F32)
 
     w["patch_embed.w"] = normal((c, 3, cfg.patch_size, cfg.patch_size),
                                 3 * cfg.patch_size ** 2)
-    w["patch_embed.b"] = np.zeros(c, dtype=dtype)
+    w["patch_embed.b"] = np.zeros(c, dtype=F32)
     w["pos_embed"] = (0.3 * rng.standard_normal((POS_BASE_GRID, POS_BASE_GRID, c))
-                      ).astype(dtype)
+                      ).astype(F32)
     for i in range(cfg.depth):
         pre = f"blocks.{i}."
-        w[pre + "ln1.g"] = np.ones(c, dtype=dtype)
-        w[pre + "ln1.b"] = np.zeros(c, dtype=dtype)
+        w[pre + "ln1.g"] = np.ones(c, dtype=F32)
+        w[pre + "ln1.b"] = np.zeros(c, dtype=F32)
         w[pre + "attn.wq"] = normal((c, c), c, scale=3.0)
         w[pre + "attn.wk"] = normal((c, c), c, scale=3.0)
         w[pre + "attn.wv"] = normal((c, c), c)
         w[pre + "attn.wo"] = normal((c, c), c, scale=residual_scale)
         for name in ("bq", "bk", "bv", "bo"):
-            w[pre + "attn." + name] = np.zeros(c, dtype=dtype)
-        w[pre + "ln2.g"] = np.ones(c, dtype=dtype)
-        w[pre + "ln2.b"] = np.zeros(c, dtype=dtype)
+            w[pre + "attn." + name] = np.zeros(c, dtype=F32)
+        w[pre + "ln2.g"] = np.ones(c, dtype=F32)
+        w[pre + "ln2.b"] = np.zeros(c, dtype=F32)
         w[pre + "mlp.w1"] = normal((c, hid), c)
-        w[pre + "mlp.b1"] = np.zeros(hid, dtype=dtype)
+        w[pre + "mlp.b1"] = np.zeros(hid, dtype=F32)
         w[pre + "mlp.w2"] = normal((hid, c), hid, scale=residual_scale)
-        w[pre + "mlp.b2"] = np.zeros(c, dtype=dtype)
+        w[pre + "mlp.b2"] = np.zeros(c, dtype=F32)
     if cfg.depth > 0:
-        w["final_norm.g"] = np.ones(c, dtype=dtype)
-        w["final_norm.b"] = np.zeros(c, dtype=dtype)
+        w["final_norm.g"] = np.ones(c, dtype=F32)
+        w["final_norm.b"] = np.zeros(c, dtype=F32)
     return ModelParams(w, trainable=False)
 
 
@@ -108,12 +109,6 @@ def interpolate_pos_embed(pos: np.ndarray, gh: int, gw: int) -> np.ndarray:
     if (base_h, base_w) != (gh, gw):
         pos = resize_plane(pos.transpose(2, 0, 1), gh, gw, antialias=False).transpose(1, 2, 0)
     return np.ascontiguousarray(pos.reshape(gh * gw, c))
-
-
-def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + x.dtype.type(eps)) * g + b
 
 
 def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarray:
@@ -150,12 +145,12 @@ def vit_tokens(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> ad.Nod
         tokens = tokens + interpolate_pos_embed(w["pos_embed"], gh, gw)
         for i in range(cfg.depth):
             pre = f"blocks.{i}."
-            h = _layer_norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"])
+            h = ad.layer_norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"]).value
             tokens = tokens + _attention(h, w, pre, cfg.heads)
-            h = _layer_norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"])
-            h = ad._gelu_parts(h @ w[pre + "mlp.w1"] + w[pre + "mlp.b1"])[0]
+            h = ad.layer_norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"]).value
+            h = ad.gelu(h @ w[pre + "mlp.w1"] + w[pre + "mlp.b1"]).value
             tokens = tokens + (h @ w[pre + "mlp.w2"] + w[pre + "mlp.b2"])
-        tokens = _layer_norm(tokens, w["final_norm.g"], w["final_norm.b"])
+        tokens = ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"]).value
     return ad.constant(tokens)
 
 
@@ -186,12 +181,12 @@ class FileTeacher:
 
     directory: Path
     expected_shape: tuple[int, int, int]  # (C, H_t, W_t)
-    expected_dtype: np.dtype = np.dtype(F32)  # the run's dtype
 
 
 def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap:
     """Target map for one sample from a :class:`LiveTeacher` (run on ``img``) or
-    a :class:`FileTeacher` (``img`` unused); always detached from any graph."""
+    a :class:`FileTeacher` (``img`` unused; the file must hold a float32 map of
+    ``expected_shape``); always detached from any graph."""
     if isinstance(src, LiveTeacher):
         return vit_forward(img, src.cfg, src.weights)
     path = Path(src.directory) / f"{sample_id}.brxt"
@@ -202,7 +197,7 @@ def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap
         raise ConfigError(
             f"teacher file {path} has shape {data.shape}, run config expects "
             f"{tuple(src.expected_shape)}")
-    if data.dtype != src.expected_dtype:
+    if data.dtype != F32:
         raise ConfigError(f"teacher file {path} has dtype {data.dtype}, run config "
-                          f"expects {src.expected_dtype}")
+                          f"expects {np.dtype(F32)}")
     return FeatureMap(data)

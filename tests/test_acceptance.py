@@ -44,6 +44,7 @@ DESK_ADA = AdapterConfig()
 DESK_CFG = DistillConfig(student_resolution=64, downsample_factor=4, lambda_edge=1.0,
                          lambda_spectral=0.1, pca_k=8, lr=1e-3, total_iters=2000,
                          batch_size=8, dataset_size=8, seed=0)
+WEIGHTS = LossWeights(edge=1.0, spectral=0.1)
 
 
 def record(num: int, desc: str, failures: list[str], detail: str = ""):
@@ -62,12 +63,12 @@ def test_criterion_01_loss_identities():
         rng = np.random.default_rng(seed)
         t = rng.standard_normal((8, 16, 16)).astype(np.float32)
         p = fit_pca(grid_to_tokens(t), 4)
-        cfg = SpectralConfig(r0=4)
+        cfg = SpectralConfig(r0=4, eps_log=1e-8)
         at_equal = {
             "l1": float(l1_loss(t.copy(), t).value),
             "edge": float(edge_loss(t.copy(), t, p).value),
             "spectral": float(spectral_loss(t.copy(), t, cfg).value),
-            "total": float(total_loss(t.copy(), t, p, LossWeights(), cfg).value),
+            "total": float(total_loss(t.copy(), t, p, WEIGHTS, cfg).value),
         }
         for name, v in at_equal.items():
             if not v <= 1e-6:
@@ -82,7 +83,7 @@ def test_criterion_01_loss_identities():
             "l1": float(l1_loss(s2, t2).value),
             "edge": float(edge_loss(s2, t2, p2).value),
             "spectral": float(spectral_loss(s2, t2, cfg).value),
-            "total": float(total_loss(s2, t2, p2, LossWeights(), cfg).value),
+            "total": float(total_loss(s2, t2, p2, WEIGHTS, cfg).value),
         }
         for name, v in perturbed.items():
             if not v >= 1e-4:
@@ -95,7 +96,7 @@ def test_criterion_01_loss_identities():
 # ---------------------------------------------------------------------------
 
 def _total_loss_value(s_arr, t, p, cfg):
-    return float(total_loss(ad.constant(s_arr), t, p, LossWeights(), cfg).value)
+    return float(total_loss(ad.constant(s_arr), t, p, WEIGHTS, cfg).value)
 
 
 def test_criterion_02_gradient_oracle():
@@ -109,11 +110,11 @@ def test_criterion_02_gradient_oracle():
         t = rng.standard_normal((c, h, w))
         s0 = t + 0.4 * rng.standard_normal((c, h, w))
         p = fit_pca(grid_to_tokens(t), k)
-        cfg = SpectralConfig(r0=max(1, min(h, w) // 4))
+        cfg = SpectralConfig(r0=max(1, min(h, w) // 4), eps_log=1e-8)
 
         with ad.Tape() as tape:
             s = ad.parameter(s0.copy())
-            tape.backward(total_loss(s, t, p, LossWeights(), cfg))
+            tape.backward(total_loss(s, t, p, WEIGHTS, cfg))
         numeric = finite_difference_grad(lambda v: _total_loss_value(v, t, p, cfg), s0)
         err = max_rel_err(s.grad, numeric)
         if err > 1e-4:
@@ -126,24 +127,23 @@ def test_criterion_02_gradient_oracle():
         vit_cfg = ViTConfig(patch_size=8, embed_dim=c, depth=1, heads=2)
         ada_cfg = AdapterConfig(pyramid_channels=(3, 3, 3), fusion_channels=6, head_blocks=1)
         frozen = init_backbone(vit_cfg, seed=case).astype(np.float64)
-        params = init_student(vit_cfg, ada_cfg, seed=100 + case, dtype=np.float64)
+        params = init_student(vit_cfg, ada_cfg, seed=100 + case).astype(np.float64)
         img = ImageTensor(rng.random((3, 16, 16)))  # output grid 8x8 <= 12x12
         t = rng.standard_normal((c, 8, 8))
         k = int(rng.integers(1, min(4, c) + 1))
         p = fit_pca(grid_to_tokens(t), k)
-        cfg = SpectralConfig(r0=2)
-        weights = LossWeights()
+        cfg = SpectralConfig(r0=2, eps_log=1e-8)
 
         def loss_at(theta: dict[str, np.ndarray]) -> float:
             mp = params.copy()
             mp.tensors.update(theta)
             out = student_forward(img, vit_cfg, ada_cfg, frozen, mp.as_nodes())
-            return float(total_loss(out, t, p, weights, cfg).value)
+            return float(total_loss(out, t, p, WEIGHTS, cfg).value)
 
         with ad.Tape() as tape:
             nodes = params.as_nodes()
             out = student_forward(img, vit_cfg, ada_cfg, frozen, nodes)
-            tape.backward(total_loss(out, t, p, weights, cfg))
+            tape.backward(total_loss(out, t, p, WEIGHTS, cfg))
 
         hstep = 1e-5
         for name, node in nodes.items():

@@ -149,7 +149,9 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                                id="dataset_size=10**400"),
                                   "teacher_source=carrier-pigeon",
                                   # models numpy refuses before allocating anything
-                                  "mlp_ratio=1e300", f"embed_dim={2 ** 62}"])
+                                  "mlp_ratio=1e300", f"embed_dim={2 ** 62}",
+                                  # a negative cap would silently turn clipping off
+                                  "grad_clip=-1"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
     # each value parses, but the first training step would reject it
     bad = tmp_path / "bad.cfg"
@@ -415,10 +417,12 @@ def test_eval_missing_checkpoint_exit_3(tmp_path):
                  "synthetic", "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("state", ["iter\t4\n", "iter\t4\nadam_t\n"])
+@pytest.mark.parametrize("state", ["iter\t4\n", "iter\t4\nadam_t\n",
+                                   "iter\t-3\nadam_t\t4\n", "iter\t4\nadam_t\t-1\n"])
 def test_damaged_checkpoint_state_exit_3(tmp_path, cfg_file, trained, capsys, state):
     ckpt = trained / "checkpoints" / "latest"
     (ckpt / "state.txt").write_text(state)
+    metrics = (trained / "metrics.tsv").read_bytes()
     resume = main(["distill", "--config", str(cfg_file), "--data", "synthetic",
                    "--out", str(trained), "--resume"])
     evaluated = main(["eval", "--checkpoint", str(ckpt), "--data", "synthetic",
@@ -426,6 +430,66 @@ def test_damaged_checkpoint_state_exit_3(tmp_path, cfg_file, trained, capsys, st
     err = capsys.readouterr().err
     assert (resume, evaluated) == (3, 3)
     assert err.count("io error:") == 2 and "state.txt" in err and "Traceback" not in err
+    assert (trained / "metrics.tsv").read_bytes() == metrics
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+NOT_UTF8 = b"\xff\xfe seed=3\n\xc3\x28\n"
+
+
+@pytest.mark.parametrize("damaged, code", [
+    ("resume.cfg", 2),
+    ("checkpoints/latest/config.resolved", 2),
+    ("checkpoints/latest/manifest.txt", 3),
+    ("metrics.tsv", 3),
+])
+def test_undecodable_text_file_refused_writes_nothing(tmp_path, trained, capsys, damaged, code):
+    # the config passed in, the checkpoint's two text files and the log a
+    # resume keeps rows of: bytes that are not UTF-8 are refused before --out changes
+    cfg = tmp_path / "resume.cfg"
+    cfg.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=6"))
+    (cfg if damaged == "resume.cfg" else trained / damaged).write_bytes(NOT_UTF8)
+    before = tree_bytes(trained)
+    got = main(["distill", "--config", str(cfg), "--data", "synthetic",
+                "--out", str(trained), "--resume"])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith("config error:" if code == 2 else "io error:")
+    assert Path(damaged).name in err and "Traceback" not in err
+    assert tree_bytes(trained) == before
+
+
+@st.composite
+def _config_bytes(draw):
+    """Raw bytes appended to a valid config: text and ``=`` lines mixed with
+    invalid UTF-8, NUL and byte-order marks."""
+    key = st.sampled_from(["seed", "lr", "r0", "grad_clip", "eps_log", "nonsense", ""])
+    value = st.one_of(st.integers(0, 9).map(str), st.text(max_size=12))
+    line = st.builds(lambda k, v: f"{k}={v}\n".encode(), key, value)
+    chunk = st.one_of(line, line, st.binary(max_size=16), st.text(max_size=16).map(str.encode),
+                      st.sampled_from([b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xc3\x28",
+                                       b"\xed\xa0\x80", b"=", b"\n", b"# note\n"]))
+    return b"".join(draw(st.lists(chunk, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_config_bytes())
+def test_any_config_bytes_train_or_exit_2_or_3(raw):
+    # a config that parses trains nothing (total_iters=0); any other is refused
+    # without a traceback, and a refused run leaves no --out behind
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        cfg, out = root / "run.cfg", root / "out"
+        cfg.write_bytes((TINY_CONFIG + "total_iters=0\n").encode() + raw)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["distill", "--config", str(cfg), "--data", "synthetic",
+                         "--out", str(out)])
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+        assert code == 0 or not out.exists()
 
 
 @pytest.mark.parametrize("damage", ["adam_m_shape", "param_dtype"])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brixel.evalbench import (
-    LinearProbe,
     attention_scores_macs,
     cost_svg,
     cost_table,
@@ -18,6 +17,7 @@ from brixel.evalbench import (
     upsample_baseline,
 )
 from brixel.losses import SpectralConfig, default_r0
+from brixel.params import ModelParams
 from brixel.refiner import AdapterConfig
 from brixel.tensors import FeatureMap
 from brixel.vit import ViTConfig
@@ -31,7 +31,7 @@ def fm(arr) -> FeatureMap:
 
 
 def half_nyquist(f: FeatureMap) -> SpectralConfig:
-    return SpectralConfig(r0=default_r0(*f.grid))
+    return SpectralConfig(r0=default_r0(*f.grid), eps_log=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,8 @@ def test_fidelity_matches_loop_oracle():
 
 def test_fidelity_shape_mismatch():
     with pytest.raises(ValueError):
-        fidelity(fm(np.zeros((2, 4, 4))), fm(np.zeros((2, 8, 8))), SpectralConfig(r0=1))
+        fidelity(fm(np.zeros((2, 4, 4))), fm(np.zeros((2, 8, 8))),
+                 SpectralConfig(r0=1, eps_log=1e-8))
 
 
 def test_upsample_baseline_shape_and_constants():
@@ -275,7 +276,7 @@ def test_bypass_student_cosine_close_to_upsample_baseline():
 
 
 def test_probe_predict_upsamples_to_label_grid():
-    probe = LinearProbe(weight=np.eye(3, 2), bias=np.zeros(2), classes=2)
+    probe = ModelParams({"w": np.eye(3, 2), "b": np.zeros(2)}, trainable=False)
     f = fm(RNG.standard_normal((3, 4, 4)))
     pred = probe_predict(f, probe, (16, 16))
     assert pred.shape == (16, 16)

@@ -17,6 +17,7 @@ from brixel.losses import (
     spectral_loss,
     total_loss,
 )
+from brixel.training import DistillConfig
 from oracles import (
     finite_difference_grad,
     loop_conv2d_same_replicate,
@@ -302,7 +303,8 @@ def test_spectrum_r0_is_the_tail_of_the_full_spectrum_bit_for_bit(shape, dtype):
 # spectral loss
 # ---------------------------------------------------------------------------
 
-CFG8 = SpectralConfig(r0=2)
+CFG8 = SpectralConfig(r0=2, eps_log=1e-8)
+WEIGHTS = LossWeights(edge=1.0, spectral=0.1)
 
 
 def test_spectral_loss_zero_and_symmetric():
@@ -322,7 +324,8 @@ def test_spectral_loss_log_scaling_by_e():
 
 def test_spectral_loss_rejects_empty_radius_set():
     with pytest.raises(ValueError):
-        spectral_loss(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)), SpectralConfig(r0=5))
+        spectral_loss(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)),
+                      SpectralConfig(r0=5, eps_log=1e-8))
 
 
 def test_default_r0_is_half_nyquist():
@@ -338,14 +341,14 @@ def test_default_r0_is_half_nyquist():
 def test_total_loss_zero_at_equal_and_degenerate_weights():
     t = rand_fm((4, 8, 8))
     p = _pca_for(t, k=2)
-    assert float(total_loss(t.copy(), t, p, LossWeights(), CFG8).value) <= 1e-10
+    assert float(total_loss(t.copy(), t, p, WEIGHTS, CFG8).value) <= 1e-10
     s = rand_fm((4, 8, 8))
     only_l1 = total_loss(s, t, p, LossWeights(edge=0.0, spectral=0.0), CFG8)
     assert float(only_l1.value) == pytest.approx(float(l1_loss(s, t).value), abs=1e-12)
 
 
 def test_default_weights_match_training_configuration():
-    w = LossWeights()
+    w = DistillConfig().loss_weights()
     assert w.edge == 1.0 and w.spectral == 0.1
     s, t = rand_fm((4, 8, 8)), rand_fm((4, 8, 8))
     p = _pca_for(t, k=2)
@@ -382,7 +385,7 @@ def _loss_builders(t, p, cfg):
         "l1": lambda s: l1_loss(s, t),
         "edge": lambda s: edge_loss(s, t, p),
         "spectral": lambda s: spectral_loss(s, t, cfg),
-        "total": lambda s: total_loss(s, t, p, LossWeights(), cfg),
+        "total": lambda s: total_loss(s, t, p, WEIGHTS, cfg),
     }
 
 
@@ -410,7 +413,7 @@ def test_no_gradient_into_teacher_or_projection():
     with ad.Tape() as tape:
         s = ad.parameter(s0.copy())
         t = ad.parameter(t0.copy())  # even a trainable teacher must stay dry
-        tape.backward(total_loss(s, t, p, LossWeights(), CFG8))
+        tape.backward(total_loss(s, t, p, WEIGHTS, CFG8))
     assert s.grad is not None
     assert t.grad is None
 
@@ -448,13 +451,13 @@ def test_stacked_maps_match_per_map_bits(shape, dtype):
     s = t + (0.3 * rng.standard_normal(shape)).astype(dtype)
     p = fit_pca(np.concatenate([tm.reshape(shape[1], -1).T for tm in t]), 3)
     p = PcaProjection(p.mean.astype(dtype), p.basis.astype(dtype), p.k)
-    cfg = SpectralConfig(r0=default_r0(*shape[-2:]))
+    cfg = SpectralConfig(r0=default_r0(*shape[-2:]), eps_log=1e-8)
     fns = {
         "l1": lambda a, b: l1_loss(a, b),
         "edge": lambda a, b: edge_loss(a, b, p),
         "spectral": lambda a, b: spectral_loss(a, b, cfg),
-        "total": lambda a, b: total_loss(a, b, p, LossWeights(), cfg),
-        "breakdown.edge": lambda a, b: loss_breakdown(a, b, p, LossWeights(), cfg)[1]["edge"],
+        "total": lambda a, b: total_loss(a, b, p, WEIGHTS, cfg),
+        "breakdown.edge": lambda a, b: loss_breakdown(a, b, p, WEIGHTS, cfg)[1]["edge"],
         "sobel.x": lambda a, b: sobel(a)[0],
         "sobel.y": lambda a, b: sobel(a)[1],
         "radial_spectrum": lambda a, b: radial_spectrum(a),

@@ -175,7 +175,7 @@ def test_batched_step_matches_per_sample_oracle(monkeypatch):
     vit_cfg, ada_cfg = ViTConfig(), AdapterConfig()
     cfg = DistillConfig(batch_size=3, dataset_size=3, seed=2)
     backbone = init_backbone(vit_cfg, seed=cfg.seed).astype(np.float64)
-    student = init_student(vit_cfg, ada_cfg, seed=cfg.seed + 1, dtype=np.float64)
+    student = init_student(vit_cfg, ada_cfg, seed=cfg.seed + 1).astype(np.float64)
     batch = select_batch(make_dataset(cfg), cfg, 0)
     rows, want = per_sample_step(batch, student.copy(), backbone, vit_cfg, ada_cfg, cfg)
 
