@@ -296,8 +296,9 @@ def test_resume_drops_metrics_rows_past_the_checkpoint(tmp_path, cfg_file):
     cfg2.write_text(TINY_CONFIG.replace("total_iters=4", "total_iters=2"))
     assert main(["distill", "--config", str(cfg2), "--data", "synthetic",
                  "--out", str(out)]) == 0
-    with open(out / "metrics.tsv", "a") as log:
-        log.write("2\t0.001\t1\t1\t1\t1\t1\n3\t0.001\t1\t1\t1\t1\t1\n")
+    with open(out / "metrics.tsv", "a", encoding="utf-8") as log:
+        # "²" is a digit to str.isdigit that int() cannot parse
+        log.write("2\t0.001\t1\t1\t1\t1\t1\n3\t0.001\t1\t1\t1\t1\t1\n²\t0\t1\t1\t1\t1\t1\n")
     assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
                  "--out", str(out), "--resume"]) == 0
     lines = read_metrics(out)
