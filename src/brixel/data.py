@@ -3,11 +3,16 @@
 The synthetic images (gradient backgrounds with hard-edged random convex
 polygons) are label-free but edge-rich, which is exactly what the edge and
 spectral losses need; the two-region variant also returns a per-pixel mask
-for the toy segmentation probe.
+for the toy segmentation probe. The generators work on broadcast (h, 1) and
+(1, w) coordinate vectors, and a polygon's edges are tested, and its colour
+filled, only on the integer bounding box of its vertices; every expression
+keeps the operand order of the full-grid form, so the pixels are the same
+bits.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +22,15 @@ from .imgio import read_ppm
 from .tensors import F32, ImageTensor, resize_bilinear
 
 
-def _polygon_mask(rng, h: int, w: int) -> np.ndarray:
-    """Filled random convex polygon as a boolean (h, w) mask."""
+def _span(lo: float, hi: float) -> slice:
+    """Indices floor(lo)..ceil(hi); slicing clips them to the image."""
+    return slice(max(math.floor(lo), 0), max(math.ceil(hi) + 1, 0))
+
+
+def _polygon(rng, h: int, w: int) -> tuple[tuple[slice, slice], np.ndarray]:
+    """Filled random convex polygon as its integer bounding box (clipped to
+    the image) and a boolean mask on that box. Every pixel outside the box
+    lies at least one pixel from the vertices' box, so it is outside."""
     cx, cy = rng.uniform(0.15, 0.85) * w, rng.uniform(0.15, 0.85) * h
     radius = rng.uniform(0.12, 0.35) * min(h, w)
     k = int(rng.integers(3, 7))
@@ -26,21 +38,31 @@ def _polygon_mask(rng, h: int, w: int) -> np.ndarray:
     radii = radius * rng.uniform(0.6, 1.0, size=k)
     vx = cx + radii * np.cos(angles)
     vy = cy + radii * np.sin(angles)
-    yy, xx = np.mgrid[0:h, 0:w]
-    inside = np.ones((h, w), dtype=bool)
+    box = _span(vy.min(), vy.max()), _span(vx.min(), vx.max())
+    yy = np.arange(h)[box[0], None]
+    xx = np.arange(w)[None, box[1]]
+    inside = np.ones((yy.shape[0], xx.shape[1]), dtype=bool)
     for i in range(k):
         x1, y1 = vx[i], vy[i]
         x2, y2 = vx[(i + 1) % k], vy[(i + 1) % k]
         cross = (x2 - x1) * (yy - y1) - (y2 - y1) * (xx - x1)
         inside &= cross >= 0  # vertices are angle-sorted, so edges wind CCW
-    return inside
+    return box, inside
+
+
+def _polygon_mask(rng, h: int, w: int) -> np.ndarray:
+    """Filled random convex polygon as a boolean (h, w) mask."""
+    box, inside = _polygon(rng, h, w)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[box] = inside
+    return mask
 
 
 def _gradient_background(rng, h: int, w: int) -> np.ndarray:
     c0, c1 = rng.random(3), rng.random(3)
     direction = rng.standard_normal(2)
     direction /= np.linalg.norm(direction) + 1e-9
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.arange(h)[:, None], np.arange(w)[None, :]
     t = direction[0] * yy / max(h - 1, 1) + direction[1] * xx / max(w - 1, 1)
     t = (t - t.min()) / (t.max() - t.min() + 1e-9)
     return c0[:, None, None] * (1 - t) + c1[:, None, None] * t
@@ -50,8 +72,8 @@ def synthetic_image(rng, resolution: int) -> ImageTensor:
     """One gradient background overlaid with hard-edged random polygons."""
     img = _gradient_background(rng, resolution, resolution)
     for _ in range(int(rng.integers(3, 7))):
-        mask = _polygon_mask(rng, resolution, resolution)
-        img[:, mask] = rng.random(3)[:, None]
+        box, inside = _polygon(rng, resolution, resolution)
+        img[:, box[0], box[1]][:, inside] = rng.random(3)[:, None]
     return ImageTensor(np.clip(img, 0.0, 1.0).astype(F32))
 
 
@@ -67,7 +89,7 @@ def _half_plane_mask(rng, h: int, w: int) -> np.ndarray:
     """Split by a random oriented line through a random interior point."""
     theta = rng.uniform(0, 2 * np.pi)
     cy, cx = rng.uniform(0.3, 0.7) * h, rng.uniform(0.3, 0.7) * w
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.arange(h)[:, None], np.arange(w)[None, :]
     return ((yy - cy) * np.cos(theta) + (xx - cx) * np.sin(theta)) >= 0
 
 

@@ -12,8 +12,14 @@ no blocks, no final normalization.
 Distillation targets the post-final-normalization patch tokens.
 
 The forward runs on plain arrays, so no tape records it: layer norm and GELU
-are the ``autodiff`` ops on constant operands, and attention softmaxes one
-head's (N, N) scores at a time, in place.
+are the ``autodiff`` ops on constant operands. Attention runs each head over
+blocks of 256 query rows, the last block taking the remainder (256 to 511
+rows; below 512 tokens one block holds them all), so one reused (rows, N)
+score buffer stays in L2 while it is softmaxed in place and multiplied into
+its output rows. No block is smaller because a smaller AV product makes
+OpenBLAS pick another kernel, whose last bits differ from the unblocked
+product's; with the 256-row floor the tokens equal the autodiff op graph's
+bit for bit. The softmax is the exact one, not FlashAttention's online form.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .tensors import F32, FeatureMap, ImageTensor, load_tensor, resize_plane, to
 
 # grid at which learned position embeddings are stored; interpolated elsewhere
 POS_BASE_GRID = 16
+# query rows per attention block: a (256, N) float32 score block stays in L2 up
+# to about 1k tokens. No block holds fewer rows (see the module docstring).
+_ATTN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -116,15 +125,20 @@ def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarra
     dh = c // heads
     q, k, v = (np.ascontiguousarray((x @ w[pre + "attn.w" + s] + w[pre + "attn.b" + s])
                                     .reshape(n, heads, dh).transpose(1, 0, 2)) for s in "qkv")
-    scores = np.empty((n, n), dtype=x.dtype)
+    # row blocks of _ATTN_BLOCK_ROWS; the last takes the remainder, so it is the largest
+    starts = [i * _ATTN_BLOCK_ROWS for i in range(max(n // _ATTN_BLOCK_ROWS, 1))]
+    bounds = list(zip(starts, starts[1:] + [n]))
+    block = np.empty((n - starts[-1], n), dtype=x.dtype)
     out = np.empty((n, heads, dh), dtype=x.dtype)
     for h in range(heads):
-        np.matmul(q[h], k[h].T, out=scores)
-        scores *= x.dtype.type(1.0 / np.sqrt(dh))
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        out[:, h] = scores @ v[h]
+        for r0, r1 in bounds:
+            scores = block[:r1 - r0]
+            np.matmul(q[h, r0:r1], k[h].T, out=scores)
+            scores *= x.dtype.type(1.0 / np.sqrt(dh))
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            out[r0:r1, h] = scores @ v[h]
     return out.reshape(n, c) @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
 
 

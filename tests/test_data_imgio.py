@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -121,6 +122,24 @@ def test_two_region_dataset_masks_and_stable_colors():
     assert spread < 0.1
     assert gap > 0.4
 
+
+
+def _sha256(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_synthetic_generators_keep_their_bits():
+    # digests of the generators' output before the bounding-box rewrite
+    assert _sha256(img.data for _, img in synthetic_dataset(4, 256, 0)) == (
+        "9d2d8488c43ecf49f7af207d513f2f9169c62a49582cfbc46913ed5565502963")
+    assert _sha256(img.data for _, img in synthetic_dataset(4, 64, 1)) == (
+        "fea819f5af7dc264a795bb4efe377207165a27aa05e4965a209eb3553117c31e")
+    assert _sha256(a for _, img, mask in two_region_dataset(6, 64, 0)
+                   for a in (img.data, mask)) == (
+        "eab87cbec15ec7705f5b9d0ec0c0c3a60c129048ecf2296f47efda65745b1907")
 
 # ---------------------------------------------------------------------------
 # directory loader

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,29 @@ def test_forward_bits_match_autodiff_oracle(cfg, h, w):
     tokens = vit_tokens(img, cfg, weights).value
     assert np.array_equal(tokens, autodiff_vit_tokens(img, cfg, weights))
 
+
+
+@pytest.mark.parametrize("gh,gw", [(20, 25), (16, 32), (32, 33), (34, 34)],
+                         ids=["500", "512", "1056", "1156"])
+def test_blocked_attention_matches_oracle_on_ragged_token_counts(gh, gw):
+    # one block below 512 tokens, two even blocks at 512, and a last block
+    # that takes a remainder (32 and 132 rows) at 1056 and 1156 tokens
+    weights = init_backbone(DESK, seed=5)
+    img = rand_image(np.random.default_rng(gh * gw), 8 * gh, 8 * gw)
+    tokens = vit_tokens(img, DESK, weights).value
+    assert np.array_equal(tokens, autodiff_vit_tokens(img, DESK, weights))
+
+
+def test_teacher_attention_never_holds_a_full_score_matrix():
+    weights = init_backbone(DESK, seed=0)
+    img = rand_image(np.random.default_rng(0), 384, 384)  # 2304 tokens
+    tracemalloc.start()
+    try:
+        vit_forward(img, DESK, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2304 * 2304 * np.dtype(F32).itemsize
 
 def test_forward_under_tape_records_nothing_and_keeps_weights():
     weights = init_backbone(TINY, seed=2)
