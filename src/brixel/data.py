@@ -27,7 +27,7 @@ def _span(lo: float, hi: float) -> slice:
     return slice(max(math.floor(lo), 0), max(math.ceil(hi) + 1, 0))
 
 
-def _polygon(rng, h: int, w: int) -> tuple[tuple[slice, slice], np.ndarray]:
+def _polygon_mask(rng, h: int, w: int) -> tuple[tuple[slice, slice], np.ndarray]:
     """Filled random convex polygon as its integer bounding box (clipped to
     the image) and a boolean mask on that box. Every pixel outside the box
     lies at least one pixel from the vertices' box, so it is outside."""
@@ -50,14 +50,6 @@ def _polygon(rng, h: int, w: int) -> tuple[tuple[slice, slice], np.ndarray]:
     return box, inside
 
 
-def _polygon_mask(rng, h: int, w: int) -> np.ndarray:
-    """Filled random convex polygon as a boolean (h, w) mask."""
-    box, inside = _polygon(rng, h, w)
-    mask = np.zeros((h, w), dtype=bool)
-    mask[box] = inside
-    return mask
-
-
 def _gradient_background(rng, h: int, w: int) -> np.ndarray:
     c0, c1 = rng.random(3), rng.random(3)
     direction = rng.standard_normal(2)
@@ -72,7 +64,7 @@ def synthetic_image(rng, resolution: int) -> ImageTensor:
     """One gradient background overlaid with hard-edged random polygons."""
     img = _gradient_background(rng, resolution, resolution)
     for _ in range(int(rng.integers(3, 7))):
-        box, inside = _polygon(rng, resolution, resolution)
+        box, inside = _polygon_mask(rng, resolution, resolution)
         img[:, box[0], box[1]][:, inside] = rng.random(3)[:, None]
     return ImageTensor(np.clip(img, 0.0, 1.0).astype(F32))
 
@@ -94,10 +86,12 @@ def _half_plane_mask(rng, h: int, w: int) -> np.ndarray:
 
 
 def _big_polygon_mask(rng, h: int, w: int) -> np.ndarray:
-    mask = _polygon_mask(rng, h, w)
-    while not (0.15 < mask.mean() < 0.85):
-        mask = _polygon_mask(rng, h, w)
-    return mask
+    while True:
+        box, inside = _polygon_mask(rng, h, w)
+        mask = np.zeros((h, w), dtype=bool)
+        mask[box] = inside
+        if 0.15 < mask.mean() < 0.85:
+            return mask
 
 
 def two_region_sample(rng, resolution: int, colors: np.ndarray

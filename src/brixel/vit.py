@@ -130,11 +130,12 @@ def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarra
     bounds = list(zip(starts, starts[1:] + [n]))
     block = np.empty((n - starts[-1], n), dtype=x.dtype)
     out = np.empty((n, heads, dh), dtype=x.dtype)
+    scale = x.dtype.type(1.0 / np.sqrt(dh))
     for h in range(heads):
         for r0, r1 in bounds:
             scores = block[:r1 - r0]
             np.matmul(q[h, r0:r1], k[h].T, out=scores)
-            scores *= x.dtype.type(1.0 / np.sqrt(dh))
+            scores *= scale
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
