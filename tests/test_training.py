@@ -1,5 +1,11 @@
+import ctypes
 import dataclasses
 import inspect
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +138,49 @@ def test_backbone_hash_constant_over_training():
     run_training(run, make_dataset(), VIT, ADA, dataclasses.replace(CFG, total_iters=4))
     assert run.backbone.content_hash() == before
     assert run.student.content_hash() != student_before
+
+
+# A fresh interpreter, so no earlier test has shaped its heap: 13 desk steps
+# after init_run, printing the mean minor faults of steps 3-12.
+_FAULTS_PER_STEP = """
+import resource
+from brixel import training
+from brixel.data import synthetic_dataset
+from brixel.refiner import AdapterConfig
+from brixel.vit import ViTConfig
+
+vit, ada, cfg = ViTConfig(), AdapterConfig(), training.DistillConfig()
+run = training.init_run(vit, ada, cfg)
+src = training.make_teacher_source(cfg, vit, run.backbone)
+dataset, cache, faults = synthetic_dataset(8, 256, cfg.seed), {}, []
+for it in range(13):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    training.train_step(training.select_batch(dataset, cfg, it), run.student, run.backbone,
+                        vit, ada, cfg, run.adam, it, teacher_src=src, sample_cache=cache)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[3:]) / len(faults[3:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap is held on glibc only")
+def test_desk_training_steps_fault_in_no_fresh_pages():
+    src_dir = str(Path(training.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
+                          capture_output=True, text=True, check=True)
+    # with glibc's dynamic thresholds each step re-faults its arrays: thousands per step
+    assert float(done.stdout) < 100
+
+
+def test_init_run_off_glibc_never_loads_libc(monkeypatch):
+    def no_libc(*args, **kwargs):
+        raise AssertionError("init_run loaded a C library off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    run = init_run(VIT, ADA, CFG)
+    assert isinstance(run, TrainRun) and run.start_iter == 0
 
 
 def test_lr_column_matches_closed_form_schedule():
