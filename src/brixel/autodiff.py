@@ -13,29 +13,24 @@ of different dtypes are a ``TypeError``. ``conv2d`` never materialises its
 padding, and folds the batch into the GEMM column axis, so a batch costs
 one GEMM forward and one each for the weight and input gradients.
 
-A :class:`Tape` is confined to one training step on one thread; the graph is
-rebuilt every step and consumed by a single ``backward`` call, which frees
-each recorded node (its value, gradient and VJP closures, unless the caller
-still holds it) as soon as its gradients have been passed on. Only leaves
-keep a ``.grad``. Values are never mutated in place after recording, and
-gradient accumulation is plain summation, so two identical forward+backward
-passes produce bit-identical gradients in a single-threaded run.
+One :class:`Tape` is active at a time per process (brixel starts no thread),
+for one training step; the graph is rebuilt every step and consumed by one
+``backward`` call, which frees each recorded node (value, gradient and VJP
+closures, unless the caller still holds it) once its gradients are passed on.
+Only leaves keep a ``.grad``. Values are never mutated in place after
+recording, and gradient accumulation is plain summation, so two identical
+forward+backward passes give bit-identical gradients in a single-threaded run.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
 from .errors import NumericError
 
-_tls = threading.local()
-
-
-def _active_tape():
-    return getattr(_tls, "tape", None)
+_tape: "Tape | None" = None  # the active tape, set and cleared by ``with Tape():``
 
 
 class Tape:
@@ -50,13 +45,15 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        if _active_tape() is not None:
+        global _tape
+        if _tape is not None:
             raise RuntimeError("a tape is already active on this thread")
-        _tls.tape = self
+        _tape = self
         return self
 
     def __exit__(self, *exc):
-        _tls.tape = None
+        global _tape
+        _tape = None
         return False
 
     def backward(self, root: "Node") -> None:
@@ -110,8 +107,7 @@ class Node:
 
 def constant(value, dtype=None) -> Node:
     """Wrap an array as a graph constant (no gradient ever flows into it)."""
-    arr = np.asarray(value, dtype=dtype)
-    return Node(arr)
+    return Node(np.asarray(value, dtype=dtype))
 
 
 def parameter(value: np.ndarray) -> Node:
@@ -121,10 +117,10 @@ def parameter(value: np.ndarray) -> Node:
 
 def detach(x: Node) -> Node:
     """Same value, gradient flow severed."""
-    return Node(as_node(x).value)
+    return Node(_as_node(x).value)
 
 
-def as_node(x, like=None) -> Node:
+def _as_node(x, like=None) -> Node:
     """``x`` itself if it is a node, else a constant of ``like``'s dtype when
     ``like`` is a node."""
     if isinstance(x, Node):
@@ -134,12 +130,10 @@ def as_node(x, like=None) -> Node:
 
 def _record(value: np.ndarray, parents) -> Node:
     """Create an op output; recorded on the tape only if a gradient can reach it."""
-    tape = _active_tape()
-    rg = tape is not None and any(p.requires_grad for p, _ in parents)
-    if not rg:
+    if _tape is None or not any(p.requires_grad for p, _ in parents):
         return Node(value)
     node = Node(value, requires_grad=True, parents=tuple(parents))
-    tape.nodes.append(node)
+    _tape.nodes.append(node)
     return node
 
 
@@ -162,8 +156,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _coerce_pair(a, b, op):
     """A non-node operand takes the other operand's dtype; two nodes must agree."""
-    a = as_node(a, like=b)
-    b = as_node(b, like=a)
+    a = _as_node(a, like=b)
+    b = _as_node(b, like=a)
     if a.value.dtype != b.value.dtype:
         raise TypeError(f"{op}: dtype mismatch {a.value.dtype} vs {b.value.dtype}")
     return a, b
@@ -203,25 +197,25 @@ def div(a, b) -> Node:
 
 
 def absolute(a) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     return _record(np.abs(a.value), [(a, lambda g: g * np.sign(a.value))])
 
 
 def log(a) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     if np.any(a.value <= 0):
         raise NumericError("log of non-positive value")
     return _record(np.log(a.value), [(a, lambda g: g / a.value)])
 
 
 def sqrt(a) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     out = np.sqrt(a.value)
     return _record(out, [(a, lambda g: g * (0.5 / out))])
 
 
 def square(a) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     return _record(a.value * a.value, [(a, lambda g: g * (2.0 * a.value))])
 
 
@@ -247,13 +241,13 @@ def matmul(a, b) -> Node:
 
 
 def reshape(a, shape) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     out = a.value.reshape(shape)
     return _record(out, [(a, lambda g: g.reshape(a.value.shape))])
 
 
 def concat(parts, axis: int = 0) -> Node:
-    parts = [as_node(p) for p in parts]
+    parts = [_as_node(p) for p in parts]
     out = np.concatenate([p.value for p in parts], axis=axis)
     offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
 
@@ -271,7 +265,7 @@ def concat(parts, axis: int = 0) -> Node:
 
 
 def reduce_sum(a, axis=None, keepdims=False) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     out = a.value.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
@@ -284,7 +278,7 @@ def reduce_sum(a, axis=None, keepdims=False) -> Node:
 
 def reduce_mean(a, axis=None, keepdims=False) -> Node:
     """Sum divided by the element count, the same two steps as ``np.mean``."""
-    a = as_node(a)
+    a = _as_node(a)
     total = reduce_sum(a, axis, keepdims)
     return div(total, a.value.size // total.value.size)
 
@@ -297,7 +291,7 @@ def fft_amplitude(x, eps: float) -> Node:
     gradient is the real inverse transform of F * g / amp; ``irfft2`` counts
     each interior column twice (once for its mirror), so those are halved.
     """
-    x = as_node(x)
+    x = _as_node(x)
     h, w = x.value.shape[-2:]
     f = np.fft.rfft2(x.value, norm="ortho")
     amp = np.sqrt(f.real * f.real + f.imag * f.imag + eps)
@@ -363,7 +357,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Node:
     N*Ho*Wo) product forward, and one each for the weight and input
     gradients, so dW is summed over the batch inside the GEMM.
     """
-    x, w, b = as_node(x), as_node(w), as_node(b)
+    x, w, b = _as_node(x), _as_node(w), _as_node(b)
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ValueError("conv2d expects 4-d input and weight")
     if x.value.shape[1] != w.value.shape[1]:
@@ -395,7 +389,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Node:
 
 
 def upsample_nearest(a, factor: int) -> Node:
-    a = as_node(a)
+    a = _as_node(a)
     out = a.value.repeat(factor, axis=-2).repeat(factor, axis=-1)
 
     def vjp(g):
@@ -408,7 +402,7 @@ def upsample_nearest(a, factor: int) -> Node:
 
 def pixel_shuffle(a, r: int) -> Node:
     """(N, C*r*r, H, W) -> (N, C, H*r, W*r), depth-to-space."""
-    a = as_node(a)
+    a = _as_node(a)
     n, crr, h, w = a.value.shape
     if crr % (r * r):
         raise ValueError(f"pixel_shuffle: channel count {crr} not divisible by {r * r}")
@@ -431,7 +425,7 @@ def pixel_shuffle(a, r: int) -> Node:
 def layer_norm(x, gamma, beta) -> Node:
     """Normalize over axis 1, the channel axis of (N, C) tokens and of
     (N, C, H, W) maps, then scale and shift by the (C,) gamma and beta."""
-    x = as_node(x)
+    x = _as_node(x)
     mu = reduce_mean(x, axis=1, keepdims=True)
     xc = sub(x, mu)
     var = reduce_mean(square(xc), axis=1, keepdims=True)
@@ -443,7 +437,7 @@ def layer_norm(x, gamma, beta) -> Node:
 def avg_pool2d(a, k: int) -> Node:
     """Mean over each k x k window of an (N, C, H, W) map: ``reduce_mean``
     over the window axes of a reshaped view, the same steps as ``np.mean``."""
-    a = as_node(a)
+    a = _as_node(a)
     n, c, h, w = a.value.shape
     if h % k or w % k:
         raise ValueError(f"avg_pool2d: spatial size {(h, w)} not divisible by {k}")
@@ -455,7 +449,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x) -> Node:
     """Tanh-form gaussian error linear unit (primitive; analytic gradient)."""
-    x = as_node(x)
+    x = _as_node(x)
     v = x.value
     th = np.tanh(_GELU_C * (v + 0.044715 * v * v * v))
     out = (0.5 * v * (1.0 + th)).astype(v.dtype, copy=False)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import ConfigError
 from .params import ModelParams
 from .tensors import F32, FeatureMap, ImageTensor
 from .vit import ViTConfig, vit_forward
@@ -38,6 +39,8 @@ PYRAMID_STRIDES = (4, 8, 16)
 
 @dataclass(frozen=True)
 class AdapterConfig:
+    """Refiner and head shape; each check that reads only these fields raises ConfigError."""
+
     pyramid_channels: tuple[int, int, int] = (16, 32, 32)
     fusion_channels: int = 64
     head_blocks: int = 3
@@ -45,14 +48,14 @@ class AdapterConfig:
 
     def __post_init__(self):
         if len(self.pyramid_channels) != len(PYRAMID_STRIDES):
-            raise ValueError("pyramid_channels must list one count per stride (4, 8, 16)")
+            raise ConfigError("pyramid_channels must list one count per stride (4, 8, 16)")
         if min(self.pyramid_channels) < 1 or self.fusion_channels < 1:
-            raise ValueError("pyramid_channels and fusion_channels must be >= 1")
+            raise ConfigError("pyramid_channels and fusion_channels must be >= 1")
         if self.head_blocks < 1:
-            raise ValueError("head_blocks must be >= 1")
+            raise ConfigError("head_blocks must be >= 1")
         f = self.upsample_factor
         if f < 1 or (f & (f - 1)):
-            raise ValueError("upsample_factor must be a positive power of two")
+            raise ConfigError("upsample_factor must be a positive power of two")
 
     @property
     def upsample_stages(self) -> int:

@@ -67,7 +67,7 @@ class RunConfig:
             self.vit, self.adapter, self.distill = (
                 cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
                 for cls in _SECTIONS)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError) as exc:  # wrong types from code; ints past float range
             raise ConfigError(str(exc)) from exc
         t_grid = self.distill.teacher_resolution // self.vit.patch_size
         r0 = self.distill.spectral_config(t_grid, t_grid).r0

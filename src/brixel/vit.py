@@ -44,6 +44,8 @@ _ATTN_BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class ViTConfig:
+    """Backbone shape; each check that reads only these fields raises ConfigError."""
+
     patch_size: int = 8
     embed_dim: int = 32
     depth: int = 2
@@ -52,13 +54,13 @@ class ViTConfig:
 
     def __post_init__(self):
         if self.heads < 1 or self.embed_dim % self.heads:
-            raise ValueError(
+            raise ConfigError(
                 f"heads {self.heads} must be >= 1 and divide embed_dim {self.embed_dim}")
         if self.patch_size < 1 or self.depth < 0:
-            raise ValueError("patch_size must be >= 1 and depth >= 0")
+            raise ConfigError("patch_size must be >= 1 and depth >= 0")
         if not math.isfinite(self.mlp_ratio * self.embed_dim) or self.mlp_hidden < 1:
-            raise ValueError(f"mlp_ratio {self.mlp_ratio} at embed_dim {self.embed_dim} must "
-                             "give a finite MLP width >= 1")
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} at embed_dim {self.embed_dim} must "
+                              "give a finite MLP width >= 1")
 
     @property
     def mlp_hidden(self) -> int:

@@ -72,6 +72,25 @@ def test_backward_requires_scalar_root_and_single_use():
             tape.backward(root)
 
 
+def test_one_tape_at_a_time_and_none_after_a_raise():
+    x = ad.parameter(np.ones(3))
+    with ad.Tape() as outer:
+        with pytest.raises(RuntimeError, match="already active"):
+            with ad.Tape():
+                pass
+        ad.mul(x, x)  # the refused tape left the outer one in place
+    assert len(outer.nodes) == 1
+    assert not ad.mul(x, x).requires_grad  # no tape, no recording
+
+    with pytest.raises(KeyError):
+        with ad.Tape():
+            raise KeyError("step failed")
+    assert not ad.mul(x, x).requires_grad
+    with ad.Tape() as tape:
+        tape.backward(ad.reduce_sum(ad.mul(x, x)))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # detach
 # ---------------------------------------------------------------------------

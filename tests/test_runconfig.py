@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brixel.errors import ConfigError
+from brixel.refiner import AdapterConfig
 from brixel.runconfig import _KEY_TYPES, RunConfig, parse_config_text
-from brixel.training import warmup_lr
+from brixel.training import DistillConfig, warmup_lr
+from brixel.vit import ViTConfig
 
 _INTS = st.one_of(st.integers(-4, 300), st.sampled_from([2 ** 31, 2 ** 63, 10 ** 30]))
 _FLOATS = st.one_of(st.floats(-4, 300), st.floats(),
@@ -79,6 +81,24 @@ def test_resolved_roundtrip_is_stable(tmp_path):
 def test_invalid_combination_becomes_config_error():
     with pytest.raises(ConfigError):
         RunConfig({"embed_dim": 30, "heads": 4})
+
+
+@pytest.mark.parametrize("cls, bad, match", [
+    (ViTConfig, {"heads": 3}, "divide embed_dim"),
+    (ViTConfig, {"patch_size": 0}, "patch_size"),
+    (ViTConfig, {"mlp_ratio": 0.0}, "MLP width"),
+    (AdapterConfig, {"pyramid_channels": (16, 32)}, "one count per stride"),
+    (AdapterConfig, {"fusion_channels": 0}, "fusion_channels"),
+    (AdapterConfig, {"head_blocks": 0}, "head_blocks"),
+    (AdapterConfig, {"upsample_factor": 3}, "power of two"),
+    (DistillConfig, {"student_resolution": 8}, "student_resolution"),
+    (DistillConfig, {"grad_clip": -1.0}, "grad_clip"),
+    (DistillConfig, {"r0": -1}, "r0"),
+    (DistillConfig, {"teacher_source": "carrier-pigeon"}, "teacher_source"),
+])
+def test_each_section_raises_config_error_for_its_own_fields(cls, bad, match):
+    with pytest.raises(ConfigError, match=match):
+        cls(**bad)
 
 
 def test_missing_file():
