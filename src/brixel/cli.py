@@ -37,6 +37,7 @@ from .tensors import ImageTensor, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
+    format_metrics_line,
     init_run,
     load_checkpoint,
     run_training,
@@ -50,9 +51,13 @@ FIDELITY_HEADER = ("# columns: sample_id\tstudent_l1\tstudent_cosine\tstudent_sp
 
 
 def _load_dataset(spec: str, resolution: int, seed: int, count: int):
-    if spec == "synthetic":
-        return synthetic_dataset(count, resolution, seed)
-    return load_directory(spec, resolution)
+    """The image set. One that numpy cannot hold is a config error, as in :func:`init_run`."""
+    try:
+        if spec == "synthetic":
+            return synthetic_dataset(count, resolution, seed)
+        return load_directory(spec, resolution)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate teacher_resolution={resolution} images: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +95,8 @@ def cmd_distill(args) -> int:
     (out / "config.resolved").write_text(cfg.resolved_text())
     with open(out / "metrics.tsv", "w") as log:
         log.write(kept)
-
-        def log_line(line: str):
-            log.write(line + "\n")
-            log.flush()
-
-        run_training(run, dataset, cfg.vit, cfg.adapter, cfg.distill, log_line=log_line)
+        run_training(run, dataset, cfg.vit, cfg.adapter, cfg.distill,
+                     lambda row: print(format_metrics_line(row), file=log, flush=True))
 
     save_checkpoint(ckpt_dir, run.student, run.adam, run.start_iter)
     (ckpt_dir / "config.resolved").write_text(cfg.resolved_text())
@@ -266,6 +267,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"--sizes must be a comma list of grids, got {args.sizes!r}") from exc
     p, f = cfg.vit.patch_size, cfg.adapter.upsample_factor
     for g in grids:
+        if g * g > sys.float_info.max:
+            raise ConfigError(f"an output grid of {len(str(g))} digits is too large to price")
         if g < 1 or g * p % f:
             raise ConfigError(f"output grid {g} must be >= 1, and grid*patch_size={g * p} "
                               f"divisible by upsample_factor={f}")
@@ -289,13 +292,13 @@ def cmd_bench(args) -> int:
             lambda: student_feature_map(low, cfg.vit, cfg.adapter, run.backbone, run.student))
         timings[g] = (t_teacher, t_student)
 
-    table = cost_table(reports, timings)
+    table, svg = cost_table(reports, timings), cost_svg(reports)
     sys.stdout.write(table)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "cost.tsv").write_text(table)
-        (out / "cost.svg").write_text(cost_svg(reports))
+        (out / "cost.svg").write_text(svg)
         print(f"wrote cost.tsv and cost.svg to {out}")
     return 0
 

@@ -15,6 +15,7 @@ multiply-accumulate pairs (MACs); reported FLOPs use the convention
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -232,22 +233,22 @@ def cost_table(reports: list[CostReport], timings: dict[int, tuple[float, float]
 
 
 def cost_svg(reports: list[CostReport]) -> str:
-    """A small log-scale line chart of teacher vs student FLOPs per grid size."""
+    """A small log-scale line chart of teacher vs student FLOPs per grid size.
+    Its logs come from ``math``, which takes FLOP counts past 2**63."""
     width, height, margin = 480, 320, 48
     xs = [r.output_grid for r in reports]
     series = {"teacher": [r.flops_teacher for r in reports],
               "student": [r.flops_student_total for r in reports]}
     all_vals = [v for vals in series.values() for v in vals]
-    lo = np.floor(np.log10(min(all_vals)))
-    hi = np.ceil(np.log10(max(all_vals)))
-    hi = max(hi, lo + 1)
+    lo = math.floor(math.log10(min(all_vals)))
+    hi = max(math.ceil(math.log10(max(all_vals))), lo + 1)
 
     def sx(x):
-        t = (np.log2(x) - np.log2(xs[0])) / max(np.log2(xs[-1]) - np.log2(xs[0]), 1e-9)
+        t = (math.log2(x) - math.log2(xs[0])) / max(math.log2(xs[-1]) - math.log2(xs[0]), 1e-9)
         return margin + t * (width - 2 * margin)
 
     def sy(v):
-        t = (np.log10(v) - lo) / (hi - lo)
+        t = (math.log10(v) - lo) / (hi - lo)
         return height - margin - t * (height - 2 * margin)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -263,7 +264,7 @@ def cost_svg(reports: list[CostReport]) -> str:
     for x in xs:
         parts.append(f'<text x="{sx(x):.1f}" y="{height - margin + 16}" font-size="11" '
                      f'text-anchor="middle">{x}</text>')
-    for d in range(int(lo), int(hi) + 1):
+    for d in range(lo, hi + 1):
         parts.append(f'<text x="{margin - 6}" y="{sy(10 ** d):.1f}" font-size="11" '
                      f'text-anchor="end">1e{d}</text>')
     for (name, vals), color in zip(series.items(), ("crimson", "steelblue")):

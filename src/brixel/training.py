@@ -26,7 +26,7 @@ import functools
 import math
 import operator
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +329,6 @@ class TrainRun:
     backbone: ModelParams
     adam: AdamState
     start_iter: int
-    metrics: list[dict[str, float]] = field(default_factory=list)
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
@@ -366,17 +365,13 @@ def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig)
 
 
 def run_training(run: TrainRun, dataset, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                 cfg: DistillConfig, log_line=None) -> TrainRun:
-    """Advance a run from its ``start_iter`` to ``cfg.total_iters``."""
+                 cfg: DistillConfig, on_step) -> None:
+    """Advance a run from its ``start_iter`` to ``cfg.total_iters``, handing
+    each step's metrics dict to ``on_step`` as the step finishes."""
     teacher_src = make_teacher_source(cfg, vit_cfg, run.backbone)
     cache: dict = {}
     for it in range(run.start_iter, cfg.total_iters):
         batch = select_batch(dataset, cfg, it)
-        metrics = train_step(batch, run.student, run.backbone, vit_cfg, adapter_cfg,
-                             cfg, run.adam, it, teacher_src=teacher_src,
-                             sample_cache=cache)
-        run.metrics.append(metrics)
-        if log_line is not None:
-            log_line(format_metrics_line(metrics))
+        on_step(train_step(batch, run.student, run.backbone, vit_cfg, adapter_cfg,
+                           cfg, run.adam, it, teacher_src=teacher_src, sample_cache=cache))
     run.start_iter = cfg.total_iters
-    return run

@@ -232,17 +232,17 @@ def test_criterion_04_pca_oracle():
 def overfit_run():
     dataset = synthetic_dataset(DESK_CFG.dataset_size, DESK_CFG.teacher_resolution,
                                 DESK_CFG.seed)
-    run = init_run(DESK_VIT, DESK_ADA, DESK_CFG)
+    run, rows = init_run(DESK_VIT, DESK_ADA, DESK_CFG), []
     backbone_hash_before = run.backbone.content_hash()
-    run_training(run, dataset, DESK_VIT, DESK_ADA, DESK_CFG)
-    return run, dataset, backbone_hash_before
+    run_training(run, dataset, DESK_VIT, DESK_ADA, DESK_CFG, rows.append)
+    return run, dataset, backbone_hash_before, rows
 
 
 def test_criterion_05_overfit_convergence(overfit_run):
-    run, dataset, _ = overfit_run
+    run, dataset, _, rows = overfit_run
     failures = []
-    first = run.metrics[0]["total"]
-    final = run.metrics[-1]["total"]
+    first = rows[0]["total"]
+    final = rows[-1]["total"]
     if not final < 0.1 * first:
         failures.append(f"final L_total {final:.4f} >= 0.1 * first {first:.4f}")
 
@@ -262,7 +262,7 @@ def test_criterion_05_overfit_convergence(overfit_run):
         failures.append(f"cosine margin over bilinear baseline {margin:.4f} < 0.05")
 
     # stochasticity-tolerant monotonicity: median of last 10% < median of first 10%
-    totals = [m["total"] for m in run.metrics]
+    totals = [m["total"] for m in rows]
     tenth = max(1, len(totals) // 10)
     if not np.median(totals[-tenth:]) < np.median(totals[:tenth]):
         failures.append("loss trend not decreasing (median last 10% >= first 10%)")
@@ -271,7 +271,7 @@ def test_criterion_05_overfit_convergence(overfit_run):
 
 
 def test_criterion_06_frozen_backbone(overfit_run):
-    run, _, hash_before = overfit_run
+    run, _, hash_before, _ = overfit_run
     failures = []
     if run.backbone.content_hash() != hash_before:
         failures.append("backbone weight hash changed during training")
@@ -427,7 +427,7 @@ def test_criterion_10_toy_probe():
                                  seed=C10_CFG.seed)
     run = init_run(C10_VIT, C10_ADA, C10_CFG)
     run_training(run, [(sid, img) for sid, img, _ in samples],
-                 C10_VIT, C10_ADA, C10_CFG)
+                 C10_VIT, C10_ADA, C10_CFG, lambda metrics: None)
 
     feats_s, feats_b, masks = [], [], []
     for _, img, mask in samples:

@@ -3,6 +3,7 @@ import contextlib
 import io
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -150,6 +151,8 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "teacher_source=carrier-pigeon",
                                   # models numpy refuses before allocating anything
                                   "mlp_ratio=1e300", f"embed_dim={2 ** 62}",
+                                  # an image set numpy refuses before allocating anything
+                                  "student_resolution=1600000000000000000000",
                                   # a negative cap would silently turn clipping off
                                   "grad_clip=-1"])
 def test_config_failing_at_step_0_exit_2(tmp_path, capsys, line):
@@ -378,6 +381,7 @@ def test_extract_empty_dir_exit_3(tmp_path, cfg_file):
 
 @pytest.mark.parametrize("command, line", [
     ("extract", f"embed_dim={2 ** 62}"),
+    ("extract", "student_resolution=1600000000000000000000"),
     ("bench", "mlp_ratio=1e300"),
 ])
 def test_unallocatable_model_exit_2_writes_nothing(tmp_path, capsys, command, line):
@@ -388,6 +392,19 @@ def test_unallocatable_model_exit_2_writes_nothing(tmp_path, capsys, command, li
     assert main([command, "--config", str(bad), *data, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot allocate") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_image_set_exit_2_writes_nothing(tmp_path, cfg_file, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "synthetic_dataset", no_memory)
+    out = tmp_path / "o"
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot allocate") and "teacher_resolution" in err
     assert not out.exists()
 
 
@@ -599,10 +616,22 @@ def test_bench_table_contract(tmp_path, cfg_file, capsys):
     assert capsys.readouterr().out.startswith("# FLOP convention")
 
 
-@pytest.mark.parametrize("size", ["15", "4", "0", "-4"])
+@pytest.mark.parametrize("size", ["15", "4", "0", "-4",
+                                  pytest.param(str(10 ** 4000), id="10**4000")])
 def test_bench_rejects_bad_grid(tmp_path, cfg_file, capsys, size):
     assert main(["bench", "--config", str(cfg_file), "--sizes", size]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_bench_charts_flop_counts_past_int64(tmp_path):
+    desk = tmp_path / "desk.cfg"
+    desk.write_text("")
+    out = tmp_path / "bench"
+    # the teacher's FLOPs at grid 16384 pass 2**63
+    assert main(["bench", "--config", str(desk), "--sizes", "16,16384",
+                 "--max-time-tokens", "0", "--out", str(out)]) == 0
+    svg = ElementTree.parse(out / "cost.svg").getroot()
+    assert len(svg.findall("{http://www.w3.org/2000/svg}polyline")) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,15 @@ def test_warmup_rejects_negative_iteration():
 # ---------------------------------------------------------------------------
 
 def run_short(iters=4, cfg=CFG):
-    run = init_run(VIT, ADA, cfg)
-    return run_training(run, make_dataset(cfg), VIT, ADA,
-                        dataclasses.replace(cfg, total_iters=iters))
+    run, rows = init_run(VIT, ADA, cfg), []
+    run_training(run, make_dataset(cfg), VIT, ADA,
+                 dataclasses.replace(cfg, total_iters=iters), rows.append)
+    return run, rows
 
 
 def test_identical_seeds_give_bit_identical_traces():
-    lines_a = [format_metrics_line(m) for m in run_short().metrics]
-    lines_b = [format_metrics_line(m) for m in run_short().metrics]
+    lines_a = [format_metrics_line(m) for m in run_short()[1]]
+    lines_b = [format_metrics_line(m) for m in run_short()[1]]
     assert lines_a == lines_b
     assert len(lines_a) == 4
 
@@ -135,7 +136,8 @@ def test_backbone_hash_constant_over_training():
     run = init_run(VIT, ADA, CFG)
     before = run.backbone.content_hash()
     student_before = run.student.content_hash()
-    run_training(run, make_dataset(), VIT, ADA, dataclasses.replace(CFG, total_iters=4))
+    run_training(run, make_dataset(), VIT, ADA, dataclasses.replace(CFG, total_iters=4),
+                 lambda metrics: None)
     assert run.backbone.content_hash() == before
     assert run.student.content_hash() != student_before
 
@@ -184,14 +186,14 @@ def test_init_run_off_glibc_never_loads_libc(monkeypatch):
 
 
 def test_lr_column_matches_closed_form_schedule():
-    run = run_short(iters=4)
-    for m in run.metrics:
+    _, rows = run_short(iters=4)
+    for m in rows:
         assert m["lr"] == pytest.approx(warmup_lr(int(m["iter"]), CFG))
 
 
 def test_metrics_line_format():
-    run = run_short(iters=1)
-    line = format_metrics_line(run.metrics[0])
+    _, rows = run_short(iters=1)
+    line = format_metrics_line(rows[0])
     fields = line.split("\t")
     assert len(fields) == 7
     assert fields[0] == "0"
@@ -289,7 +291,7 @@ def test_every_public_autodiff_op_is_reached(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    run = run_short(iters=2)
+    run, _ = run_short(iters=2)
     save_checkpoint(tmp_path / "ck", run.student, run.adam, iteration=2)
     student, adam, it = load_checkpoint(tmp_path / "ck", init_student(VIT, ADA, seed=0))
     assert it == 2
@@ -305,26 +307,28 @@ def test_resume_reproduces_unpaused_trace(tmp_path):
                         dataset_size=2, pca_k=2, seed=9)
     ds = synthetic_dataset(cfg.dataset_size, cfg.teacher_resolution, cfg.seed)
 
-    full = init_run(VIT, ADA, cfg)
-    run_training(full, ds, VIT, ADA, cfg)
+    full, full_rows = init_run(VIT, ADA, cfg), []
+    run_training(full, ds, VIT, ADA, cfg, full_rows.append)
 
     part = init_run(VIT, ADA, cfg)
-    run_training(part, ds, VIT, ADA, dataclasses.replace(cfg, total_iters=4))
+    run_training(part, ds, VIT, ADA, dataclasses.replace(cfg, total_iters=4),
+                 lambda metrics: None)
     save_checkpoint(tmp_path / "ck", part.student, part.adam, iteration=part.start_iter)
 
     student, adam, it = load_checkpoint(tmp_path / "ck", init_student(VIT, ADA, seed=0))
     resumed = TrainRun(student=student, backbone=init_run(VIT, ADA, cfg).backbone,
                        adam=adam, start_iter=it)
-    run_training(resumed, ds, VIT, ADA, cfg)
+    resumed_rows = []
+    run_training(resumed, ds, VIT, ADA, cfg, resumed_rows.append)
 
-    tail = full.metrics[4:]
-    assert len(resumed.metrics) == 10
-    for a, b in zip(tail, resumed.metrics):
+    tail = full_rows[4:]
+    assert len(resumed_rows) == 10
+    for a, b in zip(tail, resumed_rows):
         assert a["total"] == pytest.approx(b["total"], abs=1e-6)
 
 
 def test_checkpoint_shape_mismatch_names_parameter(tmp_path):
-    run = run_short(iters=1)
+    run, _ = run_short(iters=1)
     save_checkpoint(tmp_path / "ck", run.student, run.adam, iteration=1)
     bigger = AdapterConfig(pyramid_channels=(4, 4, 4), fusion_channels=16, head_blocks=1)
     with pytest.raises(ConfigError, match="head.fuse.w"):
