@@ -130,12 +130,16 @@ def two_region_dataset(count: int, resolution: int, seed: int
 
 
 def load_image(path, resolution: int) -> ImageTensor:
-    """One PPM, center-cropped to a square and resized to ``resolution``."""
+    """One PPM, center-cropped to a square and resized to ``resolution``. A crop
+    already at ``resolution`` is not resampled: both resampling matrices would
+    be identities, so it is the resized image bit for bit."""
     img = read_ppm(path)
     side = min(img.h, img.w)
     y0 = (img.h - side) // 2
     x0 = (img.w - side) // 2
     img = ImageTensor(np.ascontiguousarray(img.data[:, y0:y0 + side, x0:x0 + side]))
+    if side == resolution:
+        return img
     return resize_bilinear(img, resolution, resolution, antialias=True)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,6 +163,13 @@ def _conv_macs(k: int, cin: int, cout: int, out_hw: int) -> int:
     return k * k * cin * cout * out_hw * out_hw
 
 
+@lru_cache(maxsize=32)
+def _param_counts(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig) -> tuple[int, int]:
+    """Teacher and student parameter counts, built once per pair of configs."""
+    return (sum(t.size for _, t in init_backbone(vit_cfg, seed=0).items()),
+            sum(t.size for _, t in init_student(vit_cfg, adapter_cfg, 0).items()))
+
+
 def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) -> CostReport:
     """Cost of one dense map at grid input_size/patch_size.
 
@@ -176,6 +184,7 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     grid = input_size // p
     student_side = input_size // f
 
+    params_teacher, params_student = _param_counts(vit_cfg, adapter_cfg)
     t_total, t_peak = _vit_macs(vit_cfg, input_size)
     s_backbone, s_peak_vit = _vit_macs(vit_cfg, student_side)
 
@@ -209,8 +218,8 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
         macs_student_head=head,
         peak_act_teacher=t_peak,
         peak_act_student=peak_student,
-        params_teacher=sum(t.size for _, t in init_backbone(vit_cfg, seed=0).items()),
-        params_student=sum(t.size for _, t in init_student(vit_cfg, adapter_cfg, 0).items()),
+        params_teacher=params_teacher,
+        params_student=params_student,
     )
 
 

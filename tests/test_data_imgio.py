@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from brixel import data
 from brixel.data import (
     load_directory,
     synthetic_dataset,
@@ -13,6 +14,7 @@ from brixel.data import (
 )
 from brixel.errors import DataIOError
 from brixel.imgio import image_to_rgb8, read_ppm, rgb8_to_image, write_png, write_ppm
+from brixel.tensors import resize_bilinear
 
 
 
@@ -154,6 +156,53 @@ def test_load_directory(tmp_path):
     assert [sid for sid, _ in ds] == ["img0", "img1", "img2"]
     for _, img in ds:
         assert img.data.shape == (3, 32, 32)
+
+
+def _write_crop_sized_ppms(path, side: int) -> dict[str, np.ndarray]:
+    """PPMs whose center crop is side x side: square, wider, taller, all-0, all-255."""
+    rng = np.random.default_rng(8)
+    shapes = {"square": (side, side), "wide": (side, side + 7), "tall": (side + 4, side)}
+    rgbs = {name: rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+            for name, (h, w) in shapes.items()}
+    rgbs["black"] = np.zeros((side, side + 1, 3), dtype=np.uint8)
+    rgbs["white"] = np.full((side + 2, side, 3), 255, dtype=np.uint8)
+    for name, rgb in rgbs.items():
+        write_ppm(path / f"{name}.ppm", rgb)
+    return rgbs
+
+
+def test_load_directory_at_resolution_matches_resampled_crop(tmp_path):
+    side = 32
+    rgbs = _write_crop_sized_ppms(tmp_path, side)
+    for sid, img in load_directory(tmp_path, side):
+        h, w = rgbs[sid].shape[:2]
+        y0, x0 = (h - side) // 2, (w - side) // 2
+        crop = rgb8_to_image(np.ascontiguousarray(rgbs[sid][y0:y0 + side, x0:x0 + side]))
+        want = resize_bilinear(crop, side, side, antialias=True)
+        assert img.data.dtype == want.data.dtype and img.data.shape == (3, side, side)
+        assert img.data.tobytes() == want.data.tobytes(), sid
+
+
+def test_load_directory_resamples_only_other_sides(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("resampled a crop already at the target side")
+
+    monkeypatch.setattr(data, "resize_bilinear", refuse)
+    _write_crop_sized_ppms(tmp_path, 32)
+    assert len(load_directory(tmp_path, 32)) == 5
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return resize_bilinear(*args, **kwargs)
+
+    monkeypatch.setattr(data, "resize_bilinear", counting)
+    other = tmp_path / "other"
+    other.mkdir()
+    write_ppm(other / "img.ppm", np.zeros((40, 64, 3), dtype=np.uint8))
+    (_, img), = load_directory(other, 32)
+    assert calls == [(32, 32)] and img.data.shape == (3, 32, 32)
 
 
 def test_load_directory_errors(tmp_path):

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from brixel import evalbench
 from brixel.evalbench import (
     attention_scores_macs,
     cost_svg,
@@ -185,6 +186,23 @@ def test_flop_model_student_runs_on_the_configured_factor():
     # both students see a 128x128 input: 256 / 2 and 512 / 4
     half = flop_model(VIT, AdapterConfig(upsample_factor=2), 256)
     assert half.macs_student_backbone == flop_model(VIT, ADA, 512).macs_student_backbone
+
+
+def test_flop_model_builds_each_model_once_per_config_pair(monkeypatch):
+    built = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            built.append(build.__name__)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evalbench, "init_backbone", counted(evalbench.init_backbone))
+    monkeypatch.setattr(evalbench, "init_student", counted(evalbench.init_student))
+    evalbench._param_counts.cache_clear()
+    for grid in (16, 32, 64, 128):
+        flop_model(VIT, ADA, grid * VIT.patch_size)
+    assert sorted(built) == ["init_backbone", "init_student"]
 
 
 def test_flop_model_rejects_bad_size():

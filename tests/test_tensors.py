@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brixel import tensors
 from brixel.errors import DataIOError, NumericError
 from brixel.tensors import (
     F32,
@@ -32,6 +33,18 @@ def test_resize_preserves_constant(antialias, size):
     out = resize_bilinear(img, *size, antialias=antialias)
     assert out.data.shape == (3, *size)
     assert np.allclose(out.data, 0.7, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("antialias", [True, False])
+def test_same_size_resize_matrix_is_identity(antialias, dtype):
+    # why data.load_image may skip resampling a crop already at its target side;
+    # the uncached body keeps 512 large matrices out of the shared cache
+    build = tensors._resize_matrix_cached.__wrapped__
+    for n in range(1, 513):
+        w = build(n, n, antialias, np.dtype(dtype).name)
+        assert w.dtype == dtype
+        assert np.array_equal(w, np.eye(n, dtype=dtype)), n
 
 
 def test_area_downsample_is_box_filter():
