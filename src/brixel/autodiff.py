@@ -115,11 +115,6 @@ def parameter(value: np.ndarray) -> Node:
     return Node(np.asarray(value), requires_grad=True)
 
 
-def detach(x: Node) -> Node:
-    """Same value, gradient flow severed."""
-    return Node(_as_node(x).value)
-
-
 def _as_node(x, like=None) -> Node:
     """``x`` itself if it is a node, else a constant of ``like``'s dtype when
     ``like`` is a node."""

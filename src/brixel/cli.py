@@ -31,9 +31,9 @@ from .evalbench import (
     upsample_baseline,
 )
 from .imgio import image_to_rgb8, write_png, write_ppm
-from .refiner import student_feature_map
+from .refiner import student_feature_map, student_forward
 from .runconfig import RunConfig
-from .tensors import ImageTensor, save_tensor
+from .tensors import FeatureMap, ImageTensor, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
@@ -151,9 +151,10 @@ def _load_run(ckpt_dir: Path) -> tuple[RunConfig, TrainRun]:
 
 
 def _student_and_baseline(img, cfg, student, backbone):
+    """Student, bilinear baseline and low-res backbone maps from one backbone pass."""
     low = student_input(img, cfg.distill)
-    s_fm = student_feature_map(low, cfg.vit, cfg.adapter, backbone, student)
     low_fm = vit_forward(low, cfg.vit, backbone)
+    s_fm = FeatureMap(student_forward(low, low_fm, cfg.adapter, student.as_nodes()).value)
     base_fm = upsample_baseline(low_fm, cfg.adapter.upsample_factor)
     return s_fm, base_fm, low_fm
 

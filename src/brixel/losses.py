@@ -19,7 +19,7 @@ Every function takes one (C, H, W) map or a stack (N, C, H, W) of them and
 reduces over the last three axes: a stack gives per-sample values of shape
 (N,), bit-equal to calling the function once per map. All reductions are
 means over elements, which keeps the loss weights resolution-independent.
-Teacher inputs are always detached; gradients flow into the student map
+Teacher inputs enter as constants; gradients flow into the student map
 only.
 """
 
@@ -83,7 +83,7 @@ def _as_student_node(fm) -> ad.Node:
 
 def _as_teacher_node(fm) -> ad.Node:
     """Teacher maps never carry gradients, whatever the caller hands us."""
-    return ad.detach(_as_student_node(fm))
+    return ad.constant(_as_student_node(fm).value)
 
 
 def _check_same_shape(student: ad.Node, teacher: ad.Node):

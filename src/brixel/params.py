@@ -49,7 +49,3 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.trainable)
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()},
-                           self.trainable)

@@ -15,11 +15,11 @@ projection by 0.01 so training starts near that baseline.
 
 ``adapter_forward`` and ``head_forward`` take an (N, ...) stack of images
 and backbone maps with a dict of parameter nodes; training runs the whole
-batch as one graph. ``student_forward`` lifts one image to the N=1 stack
-and drops the batch axis again. Each sample of a stack matches its
-single-image output bit for bit wherever BLAS treats each sample's GEMM
-columns alike (every layer of the desk configuration); layers of a few
-pixels may use other small-size kernels and differ in the last bits.
+batch as one graph. ``student_forward`` runs one image and its backbone
+map as a stack of one. Each sample of a stack matches its single-image
+output bit for bit wherever BLAS treats each sample's GEMM columns alike
+(every layer of the desk configuration); layers of a few pixels may use
+other small-size kernels and differ in the last bits.
 """
 
 from __future__ import annotations
@@ -154,25 +154,19 @@ def head_forward(backbone_maps: np.ndarray, pyramid: list[ad.Node], cfg: Adapter
     return base + ad.conv2d(h, w["head.out.w"], w["head.out.b"])
 
 
-def student_forward(img_low: ImageTensor, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,
-                    frozen_w: ModelParams, params: dict[str, ad.Node]) -> ad.Node:
-    """Full student on one image: frozen backbone on the low-res image +
-    refiner + head, a (C, f*H, f*W) node.
-
-    ``params`` are the graph nodes of ``ModelParams.as_nodes``. The backbone
-    branch is computed without gradient tracking (its weights are frozen and
-    the image is not trainable), so gradients only ever reach the
-    refiner/head parameters.
-    """
-    bb = vit_forward(img_low, vit_cfg, frozen_w)
+def student_forward(img_low: ImageTensor, low_map: FeatureMap, adapter_cfg: AdapterConfig,
+                    params: dict[str, ad.Node]) -> ad.Node:
+    """Refiner + head on one low-res image and its frozen backbone map, a
+    (C, f*H, f*W) node; gradients reach only ``params``, the graph nodes of
+    ``ModelParams.as_nodes`` (the map and the image enter as constants)."""
     pyramid = adapter_forward(img_low.data[None], adapter_cfg, params)
-    out = head_forward(bb.data[None], pyramid, adapter_cfg, params)
+    out = head_forward(low_map.data[None], pyramid, adapter_cfg, params)
     return ad.reshape(out, out.value.shape[1:])
 
 
 def student_feature_map(img_low: ImageTensor, vit_cfg: ViTConfig,
                         adapter_cfg: AdapterConfig, frozen_w: ModelParams,
                         params: ModelParams) -> FeatureMap:
-    """Inference-mode student output as a plain FeatureMap."""
-    out = student_forward(img_low, vit_cfg, adapter_cfg, frozen_w, params.as_nodes())
-    return FeatureMap(out.value)
+    """Inference-mode student output as a plain FeatureMap, backbone pass included."""
+    low_map = vit_forward(img_low, vit_cfg, frozen_w)
+    return FeatureMap(student_forward(img_low, low_map, adapter_cfg, params.as_nodes()).value)

@@ -67,34 +67,36 @@ class RunConfig:
             self.vit, self.adapter, self.distill = (
                 cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
                 for cls in _SECTIONS)
-        except (TypeError, OverflowError) as exc:  # wrong types from code; ints past float range
+            t_grid = self.distill.teacher_resolution // self.vit.patch_size
+            r0 = self.distill.spectral_config(t_grid, t_grid).r0
+            if t_grid < 3:  # the edge loss runs a 3x3 Sobel window over the teacher grid
+                raise ConfigError(f"teacher grid {t_grid}x{t_grid} (teacher_resolution/patch_size) "
+                                  "is smaller than the 3x3 Sobel window of the edge loss")
+            up, down = self.adapter.upsample_factor, self.distill.downsample_factor
+            if up != down:  # the student's output grid is the teacher's only when they match
+                raise ConfigError(f"upsample_factor={up} must equal downsample_factor={down}")
+            side, patch_size = self.distill.student_resolution, self.vit.patch_size
+            if side % 16 or side % patch_size:  # adapter_forward needs sides divisible by 16
+                raise ConfigError(f"student_resolution={side} must be a multiple of 16 "
+                                  f"and of {patch_size=}")
+            grid = side // patch_size  # head_forward pools or repeats each level onto this grid
+            levels = [side // s for s in PYRAMID_STRIDES]
+            if any(max(n, grid) % min(n, grid) for n in levels):
+                raise ConfigError(f"student_resolution={side} with {patch_size=}: backbone grid "
+                                  f"{grid} and pyramid levels {levels} must divide one another")
+            r_max = r_max_for_grid(t_grid, t_grid)
+            if r0 > r_max:
+                raise ConfigError(f"r0={r0} leaves no spectrum radii <= r_max={r_max} "
+                                  f"on the {t_grid}x{t_grid} teacher grid")
+            pooled = self.distill.batch_size * t_grid * t_grid  # teacher tokens one PCA fit sees
+            if self.distill.pca_k > min(self.vit.embed_dim, pooled):
+                raise ConfigError(f"pca_k={self.distill.pca_k} must be <= embed_dim="
+                                  f"{self.vit.embed_dim} and <= the {pooled} teacher tokens "
+                                  "one batch pools (batch_size * teacher grid cells)")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:  # wrong types or huge ints in code
             raise ConfigError(str(exc)) from exc
-        t_grid = self.distill.teacher_resolution // self.vit.patch_size
-        r0 = self.distill.spectral_config(t_grid, t_grid).r0
-        if t_grid < 3:  # the edge loss runs a 3x3 Sobel window over the teacher grid
-            raise ConfigError(f"teacher grid {t_grid}x{t_grid} (teacher_resolution/patch_size) "
-                              "is smaller than the 3x3 Sobel window of the edge loss")
-        up, down = self.adapter.upsample_factor, self.distill.downsample_factor
-        if up != down:  # the student's output grid is the teacher's only when they match
-            raise ConfigError(f"upsample_factor={up} must equal downsample_factor={down}")
-        side, patch_size = self.distill.student_resolution, self.vit.patch_size
-        if side % 16 or side % patch_size:  # adapter_forward needs sides divisible by 16
-            raise ConfigError(f"student_resolution={side} must be a multiple of 16 "
-                              f"and of {patch_size=}")
-        grid = side // patch_size  # head_forward pools or repeats each level onto this grid
-        levels = [side // s for s in PYRAMID_STRIDES]
-        if any(max(n, grid) % min(n, grid) for n in levels):
-            raise ConfigError(f"student_resolution={side} with {patch_size=}: the backbone grid "
-                              f"{grid} and the pyramid levels {levels} must divide one another")
-        r_max = r_max_for_grid(t_grid, t_grid)
-        if r0 > r_max:
-            raise ConfigError(f"r0={r0} leaves no spectrum radii <= r_max={r_max} "
-                              f"on the {t_grid}x{t_grid} teacher grid")
-        pooled = self.distill.batch_size * t_grid * t_grid  # teacher tokens one PCA fit sees
-        if self.distill.pca_k > min(self.vit.embed_dim, pooled):
-            raise ConfigError(f"pca_k={self.distill.pca_k} must be <= embed_dim="
-                              f"{self.vit.embed_dim} and <= the {pooled} teacher tokens "
-                              "one batch pools (batch_size * teacher grid cells)")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -145,8 +145,9 @@ def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarra
     return out.reshape(n, c) @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
 
 
-def vit_tokens(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> ad.Node:
-    """Forward pass returning the (N, C) tokens as a constant node."""
+def vit_forward(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> FeatureMap:
+    """Dense features (C, h/p, w/p) for one image, the post-final-norm patch
+    tokens; plain arrays throughout, so no tape records it."""
     p = cfg.patch_size
     if img.h % p or img.w % p:
         raise ValueError(f"image sides {(img.h, img.w)} not divisible by patch size {p}")
@@ -168,15 +169,6 @@ def vit_tokens(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> ad.Nod
             h = ad.gelu(h @ w[pre + "mlp.w1"] + w[pre + "mlp.b1"]).value
             tokens = tokens + (h @ w[pre + "mlp.w2"] + w[pre + "mlp.b2"])
         tokens = ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"]).value
-    return ad.constant(tokens)
-
-
-def vit_forward(img: ImageTensor, cfg: ViTConfig, weights: ModelParams) -> FeatureMap:
-    """Dense features (C, h/p, w/p) for one image. Deterministic; no gradients
-    are ever tracked into the frozen weights."""
-    p = cfg.patch_size
-    gh, gw = img.h // p, img.w // p
-    tokens = vit_tokens(img, cfg, weights).value
     return FeatureMap(tokens_to_grid(tokens, gh, gw))
 
 
@@ -203,7 +195,7 @@ class FileTeacher:
 def teacher_features(src, sample_id: str, img: ImageTensor | None) -> FeatureMap:
     """Target map for one sample from a :class:`LiveTeacher` (run on ``img``) or
     a :class:`FileTeacher` (``img`` unused; the file must hold a float32 map of
-    ``expected_shape``); always detached from any graph."""
+    ``expected_shape``); always a plain array."""
     if isinstance(src, LiveTeacher):
         return vit_forward(img, src.cfg, src.weights)
     path = Path(src.directory) / f"{sample_id}.brxt"

@@ -10,7 +10,8 @@ the values in the same op order), which the tape-free numpy forward in
 ``brixel.vit`` must match bit for bit; ``per_sample_step`` runs a training
 step's forward and backward one image at a time, which the batched
 ``brixel.training.train_step`` must match; ``backward_keeping_nodes`` is the
-backward walk that frees nothing.
+backward walk that frees nothing. ``as_float64`` lifts a model to float64 for
+gradient checks, which the library's float32-only builders do not offer.
 """
 
 import cmath
@@ -19,9 +20,10 @@ import numpy as np
 
 from brixel import autodiff as ad
 from brixel.losses import fit_pca, loss_breakdown
+from brixel.params import ModelParams
 from brixel.refiner import student_forward
 from brixel.tensors import resize_bilinear
-from brixel.vit import LiveTeacher, interpolate_pos_embed, teacher_features
+from brixel.vit import LiveTeacher, interpolate_pos_embed, teacher_features, vit_forward
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -209,7 +211,7 @@ def per_sample_step(batch, student, backbone, vit_cfg, adapter_cfg, cfg):
         nodes = student.as_nodes()
         batch_total = None
         for low, t_fm in zip(lows, teachers):
-            s_out = student_forward(low, vit_cfg, adapter_cfg, backbone, nodes)
+            s_out = student_forward(low, vit_forward(low, vit_cfg, backbone), adapter_cfg, nodes)
             total, parts = loss_breakdown(s_out, t_fm, pca, cfg.loss_weights(), spectral_cfg)
             rows.append({**{k: v.value for k, v in parts.items()}, "total": total.value})
             batch_total = total if batch_total is None else ad.add(batch_total, total)
@@ -228,3 +230,8 @@ def backward_keeping_nodes(tape, root) -> None:
             if parent.requires_grad:
                 g = vjp(node.grad)
                 parent.grad = g if parent.grad is None else parent.grad + g
+
+
+def as_float64(params: ModelParams) -> ModelParams:
+    """``params`` with every tensor cast to float64, same names and flag."""
+    return ModelParams({k: v.astype(np.float64) for k, v in params.items()}, params.trainable)

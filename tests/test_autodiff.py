@@ -92,38 +92,6 @@ def test_one_tape_at_a_time_and_none_after_a_raise():
 
 
 # ---------------------------------------------------------------------------
-# detach
-# ---------------------------------------------------------------------------
-
-def test_detach_preserves_value_and_blocks_grad():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((4, 4))
-    with ad.Tape() as tape:
-        x = ad.parameter(v.copy())
-        d = ad.detach(x)
-        assert d.value.tobytes() == x.value.tobytes()
-        tape.backward(ad.reduce_sum(ad.mul(d, d)))
-    assert x.grad is None
-
-
-def test_detach_acts_as_constant_factor():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal(5)
-
-    with ad.Tape() as tape:
-        x = ad.parameter(v.copy())
-        tape.backward(ad.reduce_sum(ad.mul(ad.detach(x), x)))
-    grad_detach = x.grad
-
-    with ad.Tape() as tape:
-        x = ad.parameter(v.copy())
-        tape.backward(ad.reduce_sum(ad.mul(ad.constant(v.copy()), x)))
-    grad_const = x.grad
-
-    assert np.max(np.abs(grad_detach - grad_const)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
 # gradient oracle, op by op
 # ---------------------------------------------------------------------------
 

@@ -11,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brixel
-from brixel import cli
+from brixel import cli, refiner
 from brixel.cli import main
 from brixel.errors import ConfigError, DataIOError, NumericError
-from brixel.data import load_directory
+from brixel.data import load_directory, synthetic_dataset
 from brixel.imgio import image_to_rgb8, read_ppm, write_ppm
+from brixel.evalbench import upsample_baseline
+from brixel.refiner import student_feature_map
 from brixel.tensors import load_tensor, save_tensor
+from brixel.training import student_input
+from brixel.vit import vit_forward
 
 TINY_CONFIG = """\
 # desk-mini run
@@ -579,6 +583,48 @@ def test_viz_deterministic_bytes_and_png(tmp_path, trained):
     assert main(["viz", "--checkpoint", ck, "--image", str(img),
                  "--out", str(tmp_path / "vp"), "--png"]) == 0
     assert (tmp_path / "vp" / "panels" / "pic_student.png").exists()
+
+
+@pytest.fixture
+def backbone_passes(monkeypatch):
+    """The image shape of every backbone pass the CLI makes, itself or
+    through the refiner."""
+    shapes = []
+
+    def counting(img, cfg, weights):
+        shapes.append(img.data.shape)
+        return vit_forward(img, cfg, weights)
+
+    for module in (cli, refiner):
+        monkeypatch.setattr(module, "vit_forward", counting)
+    return shapes
+
+
+def test_cli_runs_the_low_res_backbone_once_per_image(tmp_path, trained, backbone_passes):
+    ck = str(trained / "checkpoints" / "latest")
+    pic = tmp_path / "pic.ppm"
+    write_ppm(pic, np.random.default_rng(3).integers(0, 256, size=(64, 64, 3), dtype=np.uint8))
+    # (argv, teacher passes at 128², low-res passes at 32²); synthetic holds 2 images
+    runs = [(["eval", "--data", "synthetic"], 2, 2),
+            (["eval", "--data", "synthetic", "--probe"], 2, 2 + 12),  # + 12 probe images
+            (["viz", "--image", str(pic)], 1, 1)]
+    for i, (argv, teacher, low) in enumerate(runs):
+        backbone_passes.clear()
+        assert main(argv + ["--checkpoint", ck, "--out", str(tmp_path / f"o{i}")]) == 0
+        assert len(backbone_passes) == teacher + low, argv
+        assert backbone_passes.count((3, 32, 32)) == low, argv
+
+
+def test_cli_student_map_is_student_feature_map(trained):
+    # eval, viz and the probe report the student that bench times
+    cfg, run = cli._load_run(trained / "checkpoints" / "latest")
+    (_, img), = synthetic_dataset(1, cfg.distill.teacher_resolution, 5)
+    s_fm, base_fm, low_fm = cli._student_and_baseline(img, cfg, run.student, run.backbone)
+    low = student_input(img, cfg.distill)
+    want = student_feature_map(low, cfg.vit, cfg.adapter, run.backbone, run.student)
+    assert s_fm.data.tobytes() == want.data.tobytes()
+    assert low_fm.data.tobytes() == vit_forward(low, cfg.vit, run.backbone).data.tobytes()
+    assert base_fm.data.tobytes() == upsample_baseline(low_fm, 4).data.tobytes()
 
 
 def test_viz_embed_dim_below_3_exit_2(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_gradient_reaches_every_student_tensor():
     img = rand_image(np.random.default_rng(7), 64, 64)
     with ad.Tape() as tape:
         nodes = params.as_nodes()
-        out = student_forward(img, VIT, ADA, frozen, nodes)
+        out = student_forward(img, vit_forward(img, VIT, frozen), ADA, nodes)
         tape.backward(ad.reduce_mean(ad.square(out)))
     for name, node in nodes.items():
         assert node.grad is not None, f"no gradient for {name}"

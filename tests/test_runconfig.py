@@ -101,6 +101,17 @@ def test_each_section_raises_config_error_for_its_own_fields(cls, bad, match):
         cls(**bad)
 
 
+@pytest.mark.parametrize("key, sign", [
+    ("heads", 1), ("heads", -1), ("r0", 1), ("r0", -1),
+    ("downsample_factor", 1), ("pca_k", 1), ("grad_clip", -1),
+])
+def test_int_too_long_to_print_is_config_error(key, sign):
+    # str() refuses ints past 4,300 digits, so an error message cannot show
+    # one; config text cannot carry such an int, code can
+    with pytest.raises(ConfigError):
+        RunConfig({key: sign * 10 ** 5000})
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         RunConfig.from_file("/nonexistent/run.cfg")

@@ -14,7 +14,6 @@ from brixel.vit import (
     interpolate_pos_embed,
     teacher_features,
     vit_forward,
-    vit_tokens,
 )
 from oracles import autodiff_vit_tokens
 
@@ -112,7 +111,7 @@ DESK = ViTConfig()
 def test_forward_bits_match_autodiff_oracle(cfg, h, w):
     weights = init_backbone(cfg, seed=5)
     img = rand_image(np.random.default_rng(h + w), h, w)
-    tokens = vit_tokens(img, cfg, weights).value
+    tokens = vit_forward(img, cfg, weights).tokens()
     assert np.array_equal(tokens, autodiff_vit_tokens(img, cfg, weights))
 
 
@@ -124,7 +123,7 @@ def test_blocked_attention_matches_oracle_on_ragged_token_counts(gh, gw):
     # that takes a remainder (32 and 132 rows) at 1056 and 1156 tokens
     weights = init_backbone(DESK, seed=5)
     img = rand_image(np.random.default_rng(gh * gw), 8 * gh, 8 * gw)
-    tokens = vit_tokens(img, DESK, weights).value
+    tokens = vit_forward(img, DESK, weights).tokens()
     assert np.array_equal(tokens, autodiff_vit_tokens(img, DESK, weights))
 
 
