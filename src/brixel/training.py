@@ -81,7 +81,8 @@ class DistillConfig:
             raise ConfigError(f"r0={self.r0} must be >= 0 (0 picks the half-Nyquist default)")
         if self.lambda_edge < 0 or self.lambda_spectral < 0 or self.eps_log <= 0:
             raise ConfigError("lambda_edge and lambda_spectral must be >= 0 and eps_log > 0")
-        if self.teacher_source != "live" and not self.teacher_source.startswith("file:"):
+        if self.teacher_source != "live" and not (isinstance(self.teacher_source, str)
+                                                   and self.teacher_source.startswith("file:")):
             raise ConfigError(f"unknown teacher_source {self.teacher_source!r} "
                               "(expected 'live' or 'file:<dir>')")
 

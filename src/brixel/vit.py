@@ -15,11 +15,12 @@ The forward runs on plain arrays, so no tape records it: layer norm and GELU
 are the ``autodiff`` ops on constant operands. Attention runs each head over
 blocks of 256 query rows, the last block taking the remainder (256 to 511
 rows; below 512 tokens one block holds them all), so one reused (rows, N)
-score buffer stays in L2 while it is softmaxed in place and multiplied into
-its output rows. No block is smaller because a smaller AV product makes
-OpenBLAS pick another kernel, whose last bits differ from the unblocked
-product's; with the 256-row floor the tokens equal the autodiff op graph's
-bit for bit. The softmax is the exact one, not FlashAttention's online form.
+score buffer stays in L2 while it is exponentiated in place. The softmax is
+a base-2 softmax, with the divide deferred past the AV product: one GEMM
+against ``[v | 1]`` yields each row's outputs and, last, its denominator. No
+block is smaller because a smaller ``[v | 1]`` product makes OpenBLAS pick
+another kernel, whose last bits differ from the unblocked product's; with
+the 256-row floor the tokens equal the autodiff op graph's bit for bit.
 """
 
 from __future__ import annotations
@@ -127,21 +128,23 @@ def _attention(x: np.ndarray, w: ModelParams, pre: str, heads: int) -> np.ndarra
     dh = c // heads
     q, k, v = (np.ascontiguousarray((x @ w[pre + "attn.w" + s] + w[pre + "attn.b" + s])
                                     .reshape(n, heads, dh).transpose(1, 0, 2)) for s in "qkv")
+    # exp(s / sqrt(dh)) == exp2(s * log2(e) / sqrt(dh)): fold both factors into q once
+    q *= x.dtype.type(math.log2(math.e) / math.sqrt(dh))
+    # [v | 1]: the AV product's last column is each row's softmax denominator
+    v1 = np.concatenate([v, np.ones((heads, n, 1), dtype=x.dtype)], axis=-1)
     # row blocks of _ATTN_BLOCK_ROWS; the last takes the remainder, so it is the largest
     starts = [i * _ATTN_BLOCK_ROWS for i in range(max(n // _ATTN_BLOCK_ROWS, 1))]
     bounds = list(zip(starts, starts[1:] + [n]))
     block = np.empty((n - starts[-1], n), dtype=x.dtype)
     out = np.empty((n, heads, dh), dtype=x.dtype)
-    scale = x.dtype.type(1.0 / np.sqrt(dh))
     for h in range(heads):
         for r0, r1 in bounds:
             scores = block[:r1 - r0]
             np.matmul(q[h, r0:r1], k[h].T, out=scores)
-            scores *= scale
             scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out[r0:r1, h] = scores @ v[h]
+            np.exp2(scores, out=scores)  # each row's max gives exp2(0) = 1, so a sum >= 1
+            av = scores @ v1[h]
+            np.divide(av[:, :dh], av[:, dh:], out=out[r0:r1, h])
     return out.reshape(n, c) @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
 
 

@@ -6,8 +6,13 @@ exceptions are references built from the library's own pieces in a simpler
 arrangement: ``autodiff_vit_tokens`` builds the frozen ViT forward from
 ``brixel.autodiff`` ops, one graph node per op (the attention softmax and the
 head and token transposes, which no training path needs, are numpy lines on
-the values in the same op order), which the tape-free numpy forward in
-``brixel.vit`` must match bit for bit; ``per_sample_step`` runs a training
+the values in the same op order: ``q`` scaled by ``log2(e)/sqrt(dh)``,
+``exp2`` of the scores less the row max, a product with ``[v | 1]`` and the
+divide by its last column after it), which the tape-free numpy forward in
+``brixel.vit`` must match bit for bit; ``float64_vit_tokens`` is the same
+ViT in float64 with textbook attention (natural ``exp``, normalised before
+the AV product), which checks the forward's values where the bit oracle
+shares its op order; ``per_sample_step`` runs a training
 step's forward and backward one image at a time, which the batched
 ``brixel.training.train_step`` must match; ``backward_keeping_nodes`` is the
 backward walk that frees nothing. ``as_float64`` lifts a model to float64 for
@@ -15,6 +20,7 @@ gradient checks, which the library's float32-only builders do not offer.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -169,10 +175,12 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         q = split_heads(q, (1, 0, 2))
         k = split_heads(k, (1, 2, 0))
         v = split_heads(v, (1, 0, 2))
-        scores = (ad.matmul(q, k) * (1.0 / np.sqrt(dh))).value
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        attn = ad.constant(e / e.sum(axis=-1, keepdims=True))
-        out = ad.constant(np.ascontiguousarray(ad.matmul(attn, v).value.transpose(1, 0, 2))
+        q = q * (math.log2(math.e) / math.sqrt(dh))
+        v1 = ad.constant(np.concatenate([v.value, np.ones((heads, n, 1), v.value.dtype)], -1))
+        scores = ad.matmul(q, k).value
+        e = ad.constant(np.exp2(scores - scores.max(axis=-1, keepdims=True)))
+        av = ad.matmul(e, v1).value
+        out = ad.constant(np.ascontiguousarray((av[..., :dh] / av[..., dh:]).transpose(1, 0, 2))
                           .reshape(n, c))
         return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]
 
@@ -193,6 +201,42 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         h = ad.gelu(ad.matmul(h, w[pre + "mlp.w1"]) + w[pre + "mlp.b1"])
         tokens = tokens + (ad.matmul(h, w[pre + "mlp.w2"]) + w[pre + "mlp.b2"])
     return ad.layer_norm(tokens, w["final_norm.g"], w["final_norm.b"]).value
+
+
+def float64_vit_tokens(img, cfg, weights) -> np.ndarray:
+    """(N, C) backbone tokens in float64 with textbook attention: each head's
+    row softmax of ``exp(qk / sqrt(dh))``, normalised before the AV product.
+    It shares no op order with ``brixel.vit``, so it checks values, not bits."""
+    w = {k: v.astype(np.float64) for k, v in weights.items()}
+    p, c = cfg.patch_size, cfg.embed_dim
+    gh, gw = img.h // p, img.w // p
+    patches = img.data.astype(np.float64).reshape(3, gh, p, gw, p).transpose(1, 3, 0, 2, 4)
+    tokens = patches.reshape(gh * gw, -1) @ w["patch_embed.w"].reshape(c, -1).T
+    tokens = tokens + w["patch_embed.b"]
+    if cfg.depth == 0:
+        return tokens
+
+    def norm(t, g, b):
+        centred = t - t.mean(axis=1, keepdims=True)
+        return centred / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + 1e-5) * g + b
+
+    dh = c // cfg.heads
+    tokens = tokens + interpolate_pos_embed(w["pos_embed"], gh, gw)
+    for i in range(cfg.depth):
+        pre = f"blocks.{i}."
+        h = norm(tokens, w[pre + "ln1.g"], w[pre + "ln1.b"])
+        q, k, v = (h @ w[pre + "attn.w" + s] + w[pre + "attn.b" + s] for s in "qkv")
+        heads = []
+        for j in range(cfg.heads):
+            cols = slice(j * dh, (j + 1) * dh)
+            scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+        tokens = tokens + np.concatenate(heads, axis=1) @ w[pre + "attn.wo"] + w[pre + "attn.bo"]
+        h = norm(tokens, w[pre + "ln2.g"], w[pre + "ln2.b"]) @ w[pre + "mlp.w1"] + w[pre + "mlp.b1"]
+        h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h ** 3)))
+        tokens = tokens + h @ w[pre + "mlp.w2"] + w[pre + "mlp.b2"]
+    return norm(tokens, w["final_norm.g"], w["final_norm.b"])
 
 
 def per_sample_step(batch, student, backbone, vit_cfg, adapter_cfg, cfg):

@@ -95,6 +95,8 @@ def test_invalid_combination_becomes_config_error():
     (DistillConfig, {"grad_clip": -1.0}, "grad_clip"),
     (DistillConfig, {"r0": -1}, "r0"),
     (DistillConfig, {"teacher_source": "carrier-pigeon"}, "teacher_source"),
+    (DistillConfig, {"teacher_source": 5}, "teacher_source"),
+    (DistillConfig, {"teacher_source": b"file:x"}, "teacher_source"),
 ])
 def test_each_section_raises_config_error_for_its_own_fields(cls, bad, match):
     with pytest.raises(ConfigError, match=match):

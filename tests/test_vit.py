@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import brixel
 from brixel import autodiff as ad
 from brixel.errors import DataIOError
 from brixel.tensors import F32, ImageTensor, save_tensor
@@ -15,7 +20,7 @@ from brixel.vit import (
     teacher_features,
     vit_forward,
 )
-from oracles import autodiff_vit_tokens
+from oracles import autodiff_vit_tokens, float64_vit_tokens
 
 
 def rand_image(rng, h, w):
@@ -125,6 +130,32 @@ def test_blocked_attention_matches_oracle_on_ragged_token_counts(gh, gw):
     img = rand_image(np.random.default_rng(gh * gw), 8 * gh, 8 * gw)
     tokens = vit_forward(img, DESK, weights).tokens()
     assert np.array_equal(tokens, autodiff_vit_tokens(img, DESK, weights))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_oracle_bit_equality_holds_on_one_and_two_blas_threads(threads):
+    # the bits of the [v | 1] product must not depend on how OpenBLAS splits
+    # it; a denominator taken as scores @ ones (sgemv) matched the oracle on
+    # one thread and not at 1156 tokens on two
+    cases = [f"{__file__}::{name}" for name in (
+        "test_forward_bits_match_autodiff_oracle",
+        "test_blocked_attention_matches_oracle_on_ragged_token_counts")]
+    src_dir = str(Path(brixel.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *cases],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-3000:]
+
+
+@pytest.mark.parametrize("gh,gw", [(8, 8), (32, 32), (34, 34)], ids=["64", "1024", "1156"])
+def test_tokens_match_float64_textbook_attention(gh, gw):
+    # the bit oracle follows vit's op order, so it cannot see a wrong scale;
+    # this reference takes exp(s / sqrt(dh)) and normalises before the AV product
+    weights = init_backbone(DESK, seed=5)
+    img = rand_image(np.random.default_rng(gh * gw + 1), 8 * gh, 8 * gw)
+    tokens = vit_forward(img, DESK, weights).tokens()
+    assert np.abs(tokens - float64_vit_tokens(img, DESK, weights)).max() < 1e-4
 
 
 def test_teacher_attention_never_holds_a_full_score_matrix():
