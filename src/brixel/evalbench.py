@@ -7,7 +7,7 @@ follows the shared-basis convention: one ``losses.fit_pca`` on the reference
 map's tokens, every map projected onto the first three directions and
 colored with the reference map's min/max.
 
-The cost model is closed-form in MACs and activations; parameter counts are
+The cost model is closed-form in MACs and held activations; parameter counts are
 the sizes of the initialised tensors. Compute counts are kept internally as
 multiply-accumulate pairs (MACs); reported FLOPs use the convention
 1 MAC = 2 FLOPs, stated in every report header.
@@ -27,7 +27,7 @@ from .params import ModelParams
 from .refiner import AdapterConfig, init_student
 from .tensors import FeatureMap, resize_plane
 from .training import adam_step, init_adam
-from .vit import ViTConfig, init_backbone
+from .vit import _ATTN_BLOCK_ROWS, ViTConfig, init_backbone
 
 FLOPS_PER_MAC = 2
 FLOP_NOTE = "FLOP convention: 1 multiply-accumulate = 2 FLOPs"
@@ -146,7 +146,13 @@ def attention_scores_macs(n_tokens: int, embed_dim: int) -> int:
 
 
 def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int]:
-    """(total MACs, peak activation elements) at one input size."""
+    """(total MACs, peak activation elements) at one input size.
+
+    The peak is what ``vit_forward`` holds in an attention block: the two
+    patch matrices, the patch embedding and the tokens; then the normed input,
+    ``q``, ``k``, ``v`` and the head outputs (five more (N, C) maps), the
+    bound and ones columns, ``[q | -b]``, ``[k | 1]`` and ``[v | 1]``, and one
+    score block of up to 511 rows."""
     g = side // cfg.patch_size
     n = g * g
     c = cfg.embed_dim
@@ -155,7 +161,10 @@ def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int]:
     scores = attention_scores_macs(n, c)
     mlp = 2 * n * c * cfg.mlp_hidden
     total = embed + cfg.depth * (proj + scores + mlp)
-    peak = max(3 * side * side, n * c, cfg.heads * n * n, n * cfg.mlp_hidden)
+    peak = 2 * 3 * side * side + 2 * n * c
+    if cfg.depth:
+        rows = n if n < 2 * _ATTN_BLOCK_ROWS else _ATTN_BLOCK_ROWS + n % _ATTN_BLOCK_ROWS
+        peak += 5 * n * c + 2 * cfg.heads * n + 3 * n * (c + cfg.heads) + rows * n
     return total, peak
 
 

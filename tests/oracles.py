@@ -6,10 +6,11 @@ exceptions are references built from the library's own pieces in a simpler
 arrangement: ``autodiff_vit_tokens`` builds the frozen ViT forward from
 ``brixel.autodiff`` ops, one graph node per op (the attention softmax and the
 head and token transposes, which no training path needs, are numpy lines on
-the values in the same op order: ``q`` scaled by ``log2(e)/sqrt(dh)``,
-``exp2`` of the scores less the row max, a product with ``[v | 1]`` and the
-divide by its last column after it), which the tape-free numpy forward in
-``brixel.vit`` must match bit for bit; ``float64_vit_tokens`` is the same
+the values in the same op order: ``q`` scaled by ``log2(e)/sqrt(dh)``, the
+box bound ``b`` from two GEMVs, ``exp2`` of ``[q | -b] @ [k | 1]ᵀ``, a
+product with ``[v | 1]`` and the divide by its last column after it), which
+the tape-free numpy forward in ``brixel.vit`` must match bit for bit where
+no block trips its exact-max guard; ``float64_vit_tokens`` is the same
 ViT in float64 with textbook attention (natural ``exp``, normalised before
 the AV product), which checks the forward's values where the bit oracle
 shares its op order; ``per_sample_step`` runs a training
@@ -172,14 +173,21 @@ def autodiff_vit_tokens(img, cfg, weights) -> np.ndarray:
         def split_heads(t, axes):
             return ad.constant(np.ascontiguousarray(t.value.reshape(n, heads, dh).transpose(axes)))
 
+        kmax, kmin = (t.reshape(heads, dh, 1) for t in (k.value.max(0), k.value.min(0)))
         q = split_heads(q, (1, 0, 2))
         k = split_heads(k, (1, 2, 0))
         v = split_heads(v, (1, 0, 2))
-        q = q * (math.log2(math.e) / math.sqrt(dh))
-        v1 = ad.constant(np.concatenate([v.value, np.ones((heads, n, 1), v.value.dtype)], -1))
-        scores = ad.matmul(q, k).value
-        e = ad.constant(np.exp2(scores - scores.max(axis=-1, keepdims=True)))
+        q = (q * (math.log2(math.e) / math.sqrt(dh))).value
+        neg_bound = q @ ((kmax + kmin) / -2) + np.abs(q) @ ((kmax - kmin) / -2)
+        ones = np.ones((heads, 1, n), q.dtype)
+        q1 = ad.constant(np.concatenate([q, neg_bound], -1))
+        k1 = ad.constant(np.concatenate([k.value, ones], -2))
+        v1 = ad.constant(np.concatenate([v.value, ones.transpose(0, 2, 1)], -1))
+        e = ad.constant(np.exp2(ad.matmul(q1, k1).value))
         av = ad.matmul(e, v1).value
+        # the bound path only: a case whose denominators would trip vit's
+        # exact-max guard is checked against float64_vit_tokens instead
+        assert av[..., dh:].min() >= 2.0 ** -100, "case trips the exact-max guard"
         out = ad.constant(np.ascontiguousarray((av[..., :dh] / av[..., dh:]).transpose(1, 0, 2))
                           .reshape(n, c))
         return ad.matmul(out, w[pre + "attn.wo"]) + w[pre + "attn.bo"]

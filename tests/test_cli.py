@@ -1,6 +1,9 @@
 import ast
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from xml.etree import ElementTree
@@ -75,6 +78,24 @@ def test_distill_reproducible_bit_identical(tmp_path, cfg_file):
         assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
                      "--out", str(out)]) == 0
     assert (out_a / "metrics.tsv").read_bytes() == (out_b / "metrics.tsv").read_bytes()
+
+
+def test_distill_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 1024-token teacher runs the K = dh + 1 score GEMM over four row blocks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG.replace("student_resolution=32", "student_resolution=64"))
+    src_dir = str(Path(brixel.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "brixel.cli", "distill", "--config", str(cfg),
+                        "--data", "synthetic", "--out", str(out)], env=env, check=True)
+        files = [out / "metrics.tsv", *(out / "checkpoints").rglob("*")]
+        runs[threads] = {f.relative_to(out).as_posix(): f.read_bytes()
+                         for f in files if f.is_file()}
+    assert len(runs["1"]) > 2 and runs["1"] == runs["2"]
 
 
 def test_seed_key_sets_the_run(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,8 +21,8 @@ from brixel.evalbench import (
 from brixel.losses import SpectralConfig, default_r0
 from brixel.params import ModelParams
 from brixel.refiner import AdapterConfig
-from brixel.tensors import FeatureMap
-from brixel.vit import ViTConfig
+from brixel.tensors import F32, FeatureMap, ImageTensor
+from brixel.vit import ViTConfig, init_backbone, vit_forward
 from oracles import loop_miou_pixacc, loop_radial_spectrum
 
 RNG = np.random.default_rng(77)
@@ -175,11 +176,18 @@ def test_attention_term_loglog_slope_is_two():
     assert slope == pytest.approx(2.0, abs=0.01)
 
 
-def test_peak_activation_quadratic_term():
-    a = flop_model(VIT, ADA, 512)
-    b = flop_model(VIT, ADA, 1024)
-    # attention scores dominate peak memory at large grids: heads * n^2
-    assert b.peak_act_teacher == 16 * a.peak_act_teacher
+def test_teacher_peak_activation_matches_the_traced_forward():
+    # the forward holds one score block at a time, not heads * n^2 scores
+    weights = init_backbone(VIT, seed=0)
+    for side in (256, 512):
+        img = ImageTensor(RNG.random((3, side, side)).astype(F32))
+        tracemalloc.start()
+        try:
+            vit_forward(img, VIT, weights)
+            traced = tracemalloc.get_traced_memory()[1] / np.dtype(F32).itemsize
+        finally:
+            tracemalloc.stop()
+        assert traced / 2 < flop_model(VIT, ADA, side).peak_act_teacher < 2 * traced
 
 
 def test_flop_model_student_runs_on_the_configured_factor():

@@ -10,6 +10,7 @@ import pytest
 import brixel
 from brixel import autodiff as ad
 from brixel.errors import DataIOError
+from brixel.params import ModelParams
 from brixel.tensors import F32, ImageTensor, save_tensor
 from brixel.vit import (
     FileTeacher,
@@ -156,6 +157,23 @@ def test_tokens_match_float64_textbook_attention(gh, gw):
     img = rand_image(np.random.default_rng(gh * gw + 1), 8 * gh, 8 * gw)
     tokens = vit_forward(img, DESK, weights).tokens()
     assert np.abs(tokens - float64_vit_tokens(img, DESK, weights)).max() < 1e-4
+
+
+def test_exact_max_guard_redoes_blocks_the_box_bound_would_underflow():
+    # attn.wq scaled 5x puts the box bound more than 126 base-2 units above
+    # some row's max in every block of these images, so each block's smallest
+    # denominator is below 2**-100 and the block is redone with the exact row
+    # max; without that redo the forward ends in NumericError
+    weights = init_backbone(DESK, seed=5)
+    sharp = ModelParams({name: t * F32(5) if name.endswith("attn.wq") else t
+                         for name, t in weights.items()}, trainable=False)
+    for i in range(3):
+        img = rand_image(np.random.default_rng(i), 256, 256)
+        tokens = vit_forward(img, DESK, sharp).tokens()
+        assert np.isfinite(tokens).all()
+        assert np.abs(tokens - float64_vit_tokens(img, DESK, sharp)).max() < 2e-4
+    with pytest.raises(AssertionError, match="guard"):
+        autodiff_vit_tokens(img, DESK, sharp)
 
 
 def test_teacher_attention_never_holds_a_full_score_matrix():
