@@ -2,7 +2,8 @@
 
 Subcommands: ``distill`` (train), ``extract`` (dump teacher features),
 ``eval`` (fidelity + optional toy probe), ``viz`` (PCA-RGB panels) and
-``bench`` (analytic cost table + SVG + local wall-clock).
+``bench`` (analytic FLOPs and parameter counts beside measured peak memory
+and wall-clock, plus an SVG).
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
 3 IO/data error, 4 numeric failure. All run outputs land under ``--out``
@@ -12,8 +13,10 @@ with fixed names (metrics.tsv, config.resolved, checkpoints/, panels/).
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .evalbench import (
 from .imgio import image_to_rgb8, write_png, write_ppm
 from .refiner import student_feature_map, student_forward
 from .runconfig import RunConfig
-from .tensors import FeatureMap, ImageTensor, save_tensor
+from .tensors import F32, FeatureMap, ImageTensor, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
@@ -250,17 +253,29 @@ def cmd_viz(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _time_forward(fn) -> float:
-    fn()  # warm caches once
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+def _measure_forward(fn) -> tuple[int, float]:
+    """(peak float32 elements, seconds) of one forward: the warm-up call runs
+    under ``tracemalloc`` for the peak, then the median of three untraced
+    calls gives the time."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] // np.dtype(F32).itemsize
+    finally:
+        tracemalloc.stop()
+    secs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn()
+        secs.append(time.perf_counter() - t0)
+    return peak, statistics.median(secs)
 
 
 def cmd_bench(args) -> int:
-    """Price and time one dense map per output grid: the teacher on the
-    full input, the student on the input downsampled by the configured
-    factor. Each grid must give a student side the config accepts."""
+    """Price one dense map per output grid, and measure its peak memory and
+    time up to ``--max-time-tokens``: the teacher on the full input, the
+    student on the input downsampled by the configured factor. Each grid
+    must give a student side the config accepts."""
     cfg = RunConfig.from_file(args.config)
     try:
         grids = [int(g) for g in args.sizes.split(",")]
@@ -280,7 +295,7 @@ def cmd_bench(args) -> int:
 
     run = init_run(cfg.vit, cfg.adapter, cfg.distill)
     reports = [flop_model(cfg.vit, cfg.adapter, g * p) for g in grids]
-    timings = {}
+    measured = {}
     rng = np.random.default_rng(cfg.distill.seed)
     for g in grids:
         if g * g > args.max_time_tokens:
@@ -288,12 +303,12 @@ def cmd_bench(args) -> int:
         side = g * p
         hi = ImageTensor(rng.random((3, side, side)).astype(np.float32))
         low = student_input(hi, cfg.distill)
-        t_teacher = _time_forward(lambda: vit_forward(hi, cfg.vit, run.backbone))
-        t_student = _time_forward(
-            lambda: student_feature_map(low, cfg.vit, cfg.adapter, run.backbone, run.student))
-        timings[g] = (t_teacher, t_student)
+        measured[g] = (
+            _measure_forward(lambda: vit_forward(hi, cfg.vit, run.backbone)),
+            _measure_forward(lambda: student_feature_map(low, cfg.vit, cfg.adapter,
+                                                         run.backbone, run.student)))
 
-    table, svg = cost_table(reports, timings), cost_svg(reports)
+    table, svg = cost_table(reports, measured), cost_svg(reports)
     sys.stdout.write(table)
     if args.out:
         out = Path(args.out)
@@ -341,12 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--png", action="store_true")
     z.set_defaults(fn=cmd_viz)
 
-    b = sub.add_parser("bench", help="analytic cost model + local wall-clock")
+    b = sub.add_parser("bench", help="analytic cost model + measured peak memory and wall-clock")
     b.add_argument("--config", required=True)
     b.add_argument("--sizes", required=True, help="comma list of output grids, e.g. 16,32,64")
     b.add_argument("--out", default="")
     b.add_argument("--max-time-tokens", type=int, default=4096,
-                   help="skip wall-clock measurement above this token count")
+                   help="skip peak-memory and wall-clock measurement above this token count")
     b.set_defaults(fn=cmd_bench)
     return ap
 

@@ -7,8 +7,9 @@ follows the shared-basis convention: one ``losses.fit_pca`` on the reference
 map's tokens, every map projected onto the first three directions and
 colored with the reference map's min/max.
 
-The cost model is closed-form in MACs and held activations; parameter counts are
-the sizes of the initialised tensors. Compute counts are kept internally as
+The cost model is closed-form in MACs; parameter counts are the sizes of the
+initialised tensors. Peak memory and wall-clock are measured by ``brixel
+bench``, not modelled. Compute counts are kept internally as
 multiply-accumulate pairs (MACs); reported FLOPs use the convention
 1 MAC = 2 FLOPs, stated in every report header.
 """
@@ -27,7 +28,7 @@ from .params import ModelParams
 from .refiner import AdapterConfig, init_student
 from .tensors import FeatureMap, resize_plane
 from .training import adam_step, init_adam
-from .vit import _ATTN_BLOCK_ROWS, ViTConfig, init_backbone
+from .vit import ViTConfig, init_backbone
 
 FLOPS_PER_MAC = 2
 FLOP_NOTE = "FLOP convention: 1 multiply-accumulate = 2 FLOPs"
@@ -122,8 +123,6 @@ class CostReport:
     macs_student_backbone: int
     macs_student_adapter: int
     macs_student_head: int
-    peak_act_teacher: int   # activation element counts
-    peak_act_student: int
     params_teacher: int
     params_student: int
 
@@ -145,14 +144,8 @@ def attention_scores_macs(n_tokens: int, embed_dim: int) -> int:
     return 2 * n_tokens * n_tokens * embed_dim
 
 
-def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int]:
-    """(total MACs, peak activation elements) at one input size.
-
-    The peak is what ``vit_forward`` holds in an attention block: the two
-    patch matrices, the patch embedding and the tokens; then the normed input,
-    ``q``, ``k``, ``v`` and the head outputs (five more (N, C) maps), the
-    bound and ones columns, ``[q | -b]``, ``[k | 1]`` and ``[v | 1]``, and one
-    score block of up to 511 rows."""
+def _vit_macs(cfg: ViTConfig, side: int) -> int:
+    """Total MACs of the backbone at one input size."""
     g = side // cfg.patch_size
     n = g * g
     c = cfg.embed_dim
@@ -160,12 +153,7 @@ def _vit_macs(cfg: ViTConfig, side: int) -> tuple[int, int]:
     proj = 4 * n * c * c
     scores = attention_scores_macs(n, c)
     mlp = 2 * n * c * cfg.mlp_hidden
-    total = embed + cfg.depth * (proj + scores + mlp)
-    peak = 2 * 3 * side * side + 2 * n * c
-    if cfg.depth:
-        rows = n if n < 2 * _ATTN_BLOCK_ROWS else _ATTN_BLOCK_ROWS + n % _ATTN_BLOCK_ROWS
-        peak += 5 * n * c + 2 * cfg.heads * n + 3 * n * (c + cfg.heads) + rows * n
-    return total, peak
+    return embed + cfg.depth * (proj + scores + mlp)
 
 
 def _conv_macs(k: int, cin: int, cout: int, out_hw: int) -> int:
@@ -194,9 +182,6 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     student_side = input_size // f
 
     params_teacher, params_student = _param_counts(vit_cfg, adapter_cfg)
-    t_total, t_peak = _vit_macs(vit_cfg, input_size)
-    s_backbone, s_peak_vit = _vit_macs(vit_cfg, student_side)
-
     p0, p1, p2 = adapter_cfg.pyramid_channels
     s = student_side
     adapter = (_conv_macs(3, 3, p0, s // 2) + _conv_macs(3, p0, p0, s // 4)
@@ -210,42 +195,34 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     for j in range(adapter_cfg.upsample_stages):
         head += _conv_macs(3, fc, 4 * fc, g * 2 ** j)
     head += _conv_macs(1, fc, c, grid)
-
-    peak_student = max(
-        s_peak_vit,
-        3 * s * s,
-        p0 * (s // 2) ** 2,
-        (c + p0 + p1 + p2) * g * g,
-        4 * fc * (g * 2 ** max(0, adapter_cfg.upsample_stages - 1)) ** 2,
-        c * grid * grid,
-    )
     return CostReport(
         output_grid=grid,
-        macs_teacher=t_total,
-        macs_student_backbone=s_backbone,
+        macs_teacher=_vit_macs(vit_cfg, input_size),
+        macs_student_backbone=_vit_macs(vit_cfg, student_side),
         macs_student_adapter=adapter,
         macs_student_head=head,
-        peak_act_teacher=t_peak,
-        peak_act_student=peak_student,
         params_teacher=params_teacher,
         params_student=params_student,
     )
 
 
-def cost_table(reports: list[CostReport], timings: dict[int, tuple[float, float]]) -> str:
-    """Tab-separated cost table; wall-clock columns show '-' for grids not in ``timings``."""
+def cost_table(reports: list[CostReport],
+               measured: dict[int, tuple[tuple[int, float], tuple[int, float]]]) -> str:
+    """Tab-separated cost table. ``measured`` maps a grid to the teacher's and
+    the student's (peak float32 elements, seconds); the four measured columns
+    show '-' for grids not in it."""
     lines = [f"# {FLOP_NOTE}",
              "grid\tflops_teacher\tflops_student\tratio\tpeak_act_teacher"
              "\tpeak_act_student\tparams_teacher\tparams_student"
              "\tsec_teacher\tsec_student"]
     for r in reports:
         ratio = r.flops_teacher / r.flops_student_total
-        tt, ts = ("-", "-")
-        if r.output_grid in timings:
-            tt = f"{timings[r.output_grid][0]:.4f}"
-            ts = f"{timings[r.output_grid][1]:.4f}"
+        pt = ps = tt = ts = "-"
+        if r.output_grid in measured:
+            (pt, tt), (ps, ts) = measured[r.output_grid]
+            tt, ts = f"{tt:.4f}", f"{ts:.4f}"
         lines.append(f"{r.output_grid}\t{r.flops_teacher}\t{r.flops_student_total}"
-                     f"\t{ratio:.3f}\t{r.peak_act_teacher}\t{r.peak_act_student}"
+                     f"\t{ratio:.3f}\t{pt}\t{ps}"
                      f"\t{r.params_teacher}\t{r.params_student}\t{tt}\t{ts}")
     return "\n".join(lines) + "\n"
 

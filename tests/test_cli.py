@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -21,8 +22,9 @@ from brixel.data import load_directory, synthetic_dataset
 from brixel.imgio import image_to_rgb8, read_ppm, write_ppm
 from brixel.evalbench import upsample_baseline
 from brixel.refiner import student_feature_map
-from brixel.tensors import load_tensor, save_tensor
-from brixel.training import student_input
+from brixel.runconfig import RunConfig
+from brixel.tensors import ImageTensor, load_tensor, save_tensor
+from brixel.training import init_run, student_input
 from brixel.vit import vit_forward
 
 TINY_CONFIG = """\
@@ -681,6 +683,35 @@ def test_bench_table_contract(tmp_path, cfg_file, capsys):
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert (out / "cost.svg").exists()
     assert capsys.readouterr().out.startswith("# FLOP convention")
+
+
+def test_bench_measures_peaks_near_tracemalloc_up_to_max_time_tokens(tmp_path, cfg_file):
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg_file), "--sizes", "16,32",
+                 "--out", str(out), "--max-time-tokens", "256"]) == 0
+    header, *rows = (out / "cost.tsv").read_text().splitlines()[1:]
+    assert header.split("\t") == ["grid", "flops_teacher", "flops_student", "ratio",
+                                   "peak_act_teacher", "peak_act_student", "params_teacher",
+                                   "params_student", "sec_teacher", "sec_student"]
+    timed, untimed = (row.split("\t") for row in rows)
+
+    cfg = RunConfig.from_file(cfg_file)
+    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
+    hi = ImageTensor(np.random.default_rng(0).random((3, 128, 128)).astype(np.float32))
+    low = student_input(hi, cfg.distill)
+    forwards = {4: lambda: vit_forward(hi, cfg.vit, run.backbone),
+                5: lambda: student_feature_map(low, cfg.vit, cfg.adapter,
+                                               run.backbone, run.student)}
+    for col, forward in forwards.items():
+        tracemalloc.start()
+        try:
+            forward()
+            traced = tracemalloc.get_traced_memory()[1] / np.dtype(np.float32).itemsize
+        finally:
+            tracemalloc.stop()
+        assert abs(int(timed[col]) - traced) <= 0.1 * traced
+    assert float(timed[8]) > 0 and float(timed[9]) > 0
+    assert [untimed[c] for c in (4, 5, 8, 9)] == ["-"] * 4
 
 
 @pytest.mark.parametrize("size", ["15", "4", "0", "-4",

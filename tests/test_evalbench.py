@@ -1,9 +1,9 @@
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from brixel import autodiff as ad
 from brixel import evalbench
 from brixel.evalbench import (
     attention_scores_macs,
@@ -20,9 +20,9 @@ from brixel.evalbench import (
 )
 from brixel.losses import SpectralConfig, default_r0
 from brixel.params import ModelParams
-from brixel.refiner import AdapterConfig
+from brixel.refiner import AdapterConfig, init_student, student_forward
 from brixel.tensors import F32, FeatureMap, ImageTensor
-from brixel.vit import ViTConfig, init_backbone, vit_forward
+from brixel.vit import ViTConfig
 from oracles import loop_miou_pixacc, loop_radial_spectrum
 
 RNG = np.random.default_rng(77)
@@ -176,18 +176,26 @@ def test_attention_term_loglog_slope_is_two():
     assert slope == pytest.approx(2.0, abs=0.01)
 
 
-def test_teacher_peak_activation_matches_the_traced_forward():
-    # the forward holds one score block at a time, not heads * n^2 scores
-    weights = init_backbone(VIT, seed=0)
+def test_refiner_macs_match_the_convolutions_of_a_forward(monkeypatch):
+    macs = []
+    conv2d = ad.conv2d
+
+    def counted(x, w, b, **kwargs):
+        out = conv2d(x, w, b, **kwargs)
+        _, cin, kh, kw = w.value.shape
+        macs.append(out.value.size * cin * kh * kw)
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", counted)
+    student = init_student(VIT, ADA, 0).as_nodes()
     for side in (256, 512):
-        img = ImageTensor(RNG.random((3, side, side)).astype(F32))
-        tracemalloc.start()
-        try:
-            vit_forward(img, VIT, weights)
-            traced = tracemalloc.get_traced_memory()[1] / np.dtype(F32).itemsize
-        finally:
-            tracemalloc.stop()
-        assert traced / 2 < flop_model(VIT, ADA, side).peak_act_teacher < 2 * traced
+        low = side // ADA.upsample_factor
+        grid = low // VIT.patch_size
+        macs.clear()
+        student_forward(ImageTensor(np.zeros((3, low, low), F32)),
+                        FeatureMap(np.zeros((VIT.embed_dim, grid, grid), F32)), ADA, student)
+        r = flop_model(VIT, ADA, side)
+        assert r.macs_student_adapter + r.macs_student_head == sum(macs)
 
 
 def test_flop_model_student_runs_on_the_configured_factor():
@@ -220,7 +228,7 @@ def test_flop_model_rejects_bad_size():
 
 def test_cost_table_and_svg():
     reports = [flop_model(VIT, ADA, g * 8) for g in (16, 32, 64)]
-    table = cost_table(reports, {16: (0.1, 0.02)})
+    table = cost_table(reports, {16: ((287569, 0.1), (101285, 0.02))})
     lines = table.strip().splitlines()
     assert lines[0].startswith("# FLOP convention")
     assert len(lines) == 2 + 3  # note + header + one row per size
