@@ -2,8 +2,8 @@
 
 Subcommands: ``distill`` (train), ``extract`` (dump teacher features),
 ``eval`` (fidelity + optional toy probe), ``viz`` (PCA-RGB panels) and
-``bench`` (analytic FLOPs and parameter counts beside measured peak memory
-and wall-clock, plus an SVG).
+``bench`` (analytic FLOPs beside the parameter counts, peak memory and
+wall-clock of the models it builds, plus an SVG).
 
 Exit codes are a stable contract: 0 success, 2 configuration error,
 3 IO/data error, 4 numeric failure. All run outputs land under ``--out``
@@ -40,6 +40,7 @@ from .tensors import F32, FeatureMap, ImageTensor, save_tensor
 from .training import (
     METRICS_COLUMNS,
     TrainRun,
+    check_run_inputs,
     format_metrics_line,
     init_run,
     load_checkpoint,
@@ -92,6 +93,7 @@ def cmd_distill(args) -> int:
     if run.start_iter > cfg.distill.total_iters:
         raise ConfigError(f"checkpoint is at iteration {run.start_iter}, beyond "
                           f"total_iters={cfg.distill.total_iters}")
+    check_run_inputs(run, dataset, cfg.vit, cfg.distill)
 
     kept = _kept_metrics(out / "metrics.tsv", run.start_iter)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,10 +274,10 @@ def _measure_forward(fn) -> tuple[int, float]:
 
 
 def cmd_bench(args) -> int:
-    """Price one dense map per output grid, and measure its peak memory and
-    time up to ``--max-time-tokens``: the teacher on the full input, the
-    student on the input downsampled by the configured factor. Each grid
-    must give a student side the config accepts."""
+    """Price one dense map per output grid, count both models' parameters and
+    measure each map's peak memory and time up to ``--max-time-tokens``: the
+    teacher on the full input, the student on the input downsampled by the
+    configured factor. Each grid must give a student side the config accepts."""
     cfg = RunConfig.from_file(args.config)
     try:
         grids = [int(g) for g in args.sizes.split(",")]
@@ -308,7 +310,8 @@ def cmd_bench(args) -> int:
             _measure_forward(lambda: student_feature_map(low, cfg.vit, cfg.adapter,
                                                          run.backbone, run.student)))
 
-    table, svg = cost_table(reports, measured), cost_svg(reports)
+    params = tuple(sum(t.size for _, t in m.items()) for m in (run.backbone, run.student))
+    table, svg = cost_table(reports, params, measured), cost_svg(reports)
     sys.stdout.write(table)
     if args.out:
         out = Path(args.out)

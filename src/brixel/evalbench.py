@@ -7,11 +7,11 @@ follows the shared-basis convention: one ``losses.fit_pca`` on the reference
 map's tokens, every map projected onto the first three directions and
 colored with the reference map's min/max.
 
-The cost model is closed-form in MACs; parameter counts are the sizes of the
-initialised tensors. Peak memory and wall-clock are measured by ``brixel
-bench``, not modelled. Compute counts are kept internally as
-multiply-accumulate pairs (MACs); reported FLOPs use the convention
-1 MAC = 2 FLOPs, stated in every report header.
+The cost model is closed-form in MACs. Parameter counts, peak memory and
+wall-clock are read off the models ``brixel bench`` builds and runs, not
+modelled. Compute counts are kept internally as multiply-accumulate pairs
+(MACs); reported FLOPs use the convention 1 MAC = 2 FLOPs, stated in every
+report header.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .losses import SpectralConfig, fit_pca, radial_spectrum
 from .params import ModelParams
-from .refiner import AdapterConfig, init_student
+from .refiner import AdapterConfig
 from .tensors import FeatureMap, resize_plane
 from .training import adam_step, init_adam
-from .vit import ViTConfig, init_backbone
+from .vit import ViTConfig
 
 FLOPS_PER_MAC = 2
 FLOP_NOTE = "FLOP convention: 1 multiply-accumulate = 2 FLOPs"
@@ -123,8 +122,6 @@ class CostReport:
     macs_student_backbone: int
     macs_student_adapter: int
     macs_student_head: int
-    params_teacher: int
-    params_student: int
 
     @property
     def macs_student_total(self) -> int:
@@ -160,13 +157,6 @@ def _conv_macs(k: int, cin: int, cout: int, out_hw: int) -> int:
     return k * k * cin * cout * out_hw * out_hw
 
 
-@lru_cache(maxsize=32)
-def _param_counts(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig) -> tuple[int, int]:
-    """Teacher and student parameter counts, built once per pair of configs."""
-    return (sum(t.size for _, t in init_backbone(vit_cfg, seed=0).items()),
-            sum(t.size for _, t in init_student(vit_cfg, adapter_cfg, 0).items()))
-
-
 def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) -> CostReport:
     """Cost of one dense map at grid input_size/patch_size.
 
@@ -181,7 +171,6 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
     grid = input_size // p
     student_side = input_size // f
 
-    params_teacher, params_student = _param_counts(vit_cfg, adapter_cfg)
     p0, p1, p2 = adapter_cfg.pyramid_channels
     s = student_side
     adapter = (_conv_macs(3, 3, p0, s // 2) + _conv_macs(3, p0, p0, s // 4)
@@ -201,16 +190,15 @@ def flop_model(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, input_size: int) 
         macs_student_backbone=_vit_macs(vit_cfg, student_side),
         macs_student_adapter=adapter,
         macs_student_head=head,
-        params_teacher=params_teacher,
-        params_student=params_student,
     )
 
 
-def cost_table(reports: list[CostReport],
+def cost_table(reports: list[CostReport], params: tuple[int, int],
                measured: dict[int, tuple[tuple[int, float], tuple[int, float]]]) -> str:
-    """Tab-separated cost table. ``measured`` maps a grid to the teacher's and
-    the student's (peak float32 elements, seconds); the four measured columns
-    show '-' for grids not in it."""
+    """Tab-separated cost table. ``params`` holds the teacher's and the
+    student's parameter counts; ``measured`` maps a grid to the teacher's and
+    the student's (peak float32 elements, seconds), and the four measured
+    columns show '-' for grids not in it."""
     lines = [f"# {FLOP_NOTE}",
              "grid\tflops_teacher\tflops_student\tratio\tpeak_act_teacher"
              "\tpeak_act_student\tparams_teacher\tparams_student"
@@ -223,7 +211,7 @@ def cost_table(reports: list[CostReport],
             tt, ts = f"{tt:.4f}", f"{ts:.4f}"
         lines.append(f"{r.output_grid}\t{r.flops_teacher}\t{r.flops_student_total}"
                      f"\t{ratio:.3f}\t{pt}\t{ps}"
-                     f"\t{r.params_teacher}\t{r.params_student}\t{tt}\t{ts}")
+                     f"\t{params[0]}\t{params[1]}\t{tt}\t{ts}")
     return "\n".join(lines) + "\n"
 
 
@@ -321,29 +309,21 @@ def probe_predict(fm: FeatureMap, probe: ModelParams, out_hw: tuple[int, int]) -
 
 def miou_pixacc(preds: list[np.ndarray], truths: list[np.ndarray], classes: int
                 ) -> tuple[float, float]:
-    """mIoU (absent classes excluded, flagged) and pixel accuracy."""
-    tp = np.zeros(classes, dtype=np.int64)
-    fp = np.zeros(classes, dtype=np.int64)
-    fn = np.zeros(classes, dtype=np.int64)
-    correct = total = 0
+    """mIoU (absent classes excluded, flagged) and pixel accuracy from one
+    truth-by-prediction confusion matrix; a label outside [0, classes) raises."""
     for pred, truth in zip(preds, truths):
         if pred.shape != truth.shape:
             raise ValueError(f"prediction {pred.shape} vs labels {truth.shape}")
-        correct += int(np.sum(pred == truth))
-        total += truth.size
-        for k in range(classes):
-            p = pred == k
-            t = truth == k
-            tp[k] += int(np.sum(p & t))
-            fp[k] += int(np.sum(p & ~t))
-            fn[k] += int(np.sum(~p & t))
-    present = tp + fp + fn > 0
-    absent = [k for k in range(classes) if not present[k]]
+    pairs = [np.ravel_multi_index((truth.ravel(), pred.ravel()), (classes, classes))
+             for pred, truth in zip(preds, truths)]
+    conf = np.bincount(np.concatenate(pairs), minlength=classes ** 2).reshape(classes, classes)
+    tp = np.diag(conf)
+    union = conf.sum(axis=0) + conf.sum(axis=1) - tp
+    absent = np.flatnonzero(union == 0).tolist()
     if absent:
         warnings.warn(f"classes absent from predictions and labels: {absent}",
                       RuntimeWarning, stacklevel=2)
-    ious = tp[present] / (tp[present] + fp[present] + fn[present])
-    return float(np.mean(ious)), correct / total
+    return float(np.mean(tp[union > 0] / union[union > 0])), int(tp.sum()) / int(conf.sum())
 
 
 def linear_probe_eval(features: list[FeatureMap], masks: list[np.ndarray],

@@ -230,7 +230,6 @@ def edge_loss(student, teacher, p: PcaProjection) -> ad.Node:
 # Radial spectrum / spectral loss
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
 def _radial_bins(h: int, w: int):
     """Integer bin per (u, v) frequency, -1 beyond r_max.
 

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataIOError, NumericError
 from .losses import LossWeights, SpectralConfig, default_r0, fit_pca, loss_breakdown
 from .params import ModelParams
 from .refiner import AdapterConfig, adapter_forward, head_forward, init_student
-from .tensors import ImageTensor, load_tensor, resize_bilinear, save_tensor
+from .tensors import F32, ImageTensor, load_tensor, resize_bilinear, save_tensor
 from .vit import FileTeacher, LiveTeacher, ViTConfig, init_backbone, teacher_features, vit_forward
 
 METRICS_COLUMNS = ("iter", "lr", "l1", "edge", "spectral", "total", "gradnorm")
@@ -363,6 +363,23 @@ def init_run(vit_cfg: ViTConfig, adapter_cfg: AdapterConfig, cfg: DistillConfig)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"cannot allocate the configured model: {exc}") from exc
     return TrainRun(student=student, backbone=backbone, adam=init_adam(student), start_iter=0)
+
+
+def check_run_inputs(run: TrainRun, dataset, vit_cfg: ViTConfig, cfg: DistillConfig) -> None:
+    """Refuse what the first steps would, before a run writes anything: a
+    batch whose stacked step arrays (teacher maps, student inputs and their
+    backbone maps) numpy cannot allocate, as :func:`init_run` refuses a
+    model, and a ``file:`` teacher map that is missing or of another shape
+    or dtype for any sample."""
+    c, p, s = vit_cfg.embed_dim, vit_cfg.patch_size, cfg.student_resolution
+    per_sample = c * (cfg.teacher_resolution // p) ** 2 + 3 * s * s + c * (s // p) ** 2
+    try:
+        np.empty((cfg.batch_size, per_sample), F32)  # allocated, never written
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate a batch of batch_size={cfg.batch_size}: {exc}") from exc
+    src = make_teacher_source(cfg, vit_cfg, run.backbone)
+    for sid, _ in dataset if isinstance(src, FileTeacher) else ():
+        teacher_features(src, sid, None)
 
 
 def run_training(run: TrainRun, dataset, vit_cfg: ViTConfig, adapter_cfg: AdapterConfig,

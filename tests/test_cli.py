@@ -178,6 +178,8 @@ def test_pyramid_off_the_backbone_grid_exit_2(tmp_path, capsys):
                                   "teacher_source=carrier-pigeon",
                                   # models numpy refuses before allocating anything
                                   "mlp_ratio=1e300", f"embed_dim={2 ** 62}",
+                                  # batches whose stacked step arrays numpy cannot hold
+                                  "batch_size=100000000000", "batch_size=1000000000",
                                   # an image set numpy refuses before allocating anything
                                   "student_resolution=1600000000000000000000",
                                   # a negative cap would silently turn clipping off
@@ -375,12 +377,13 @@ def test_file_teacher_shape_mismatch_exit_2(tmp_path, cfg_file, capsys):
     narrow = tmp_path / "narrow.cfg"
     narrow.write_text(TINY_CONFIG.replace("embed_dim=8", "embed_dim=4")
                       + f"teacher_source=file:{feats}\n")
-    code = main(["distill", "--config", str(narrow), "--data", "synthetic",
-                 "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["distill", "--config", str(narrow), "--data", "synthetic", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert "shape" in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_file_teacher_dtype_mismatch_exit_2(tmp_path, cfg_file, capsys):
@@ -391,12 +394,29 @@ def test_file_teacher_dtype_mismatch_exit_2(tmp_path, cfg_file, capsys):
         save_tensor(load_tensor(path).astype(np.float64), path)
     file_cfg = tmp_path / "file.cfg"
     file_cfg.write_text(TINY_CONFIG + f"teacher_source=file:{feats}\n")
-    code = main(["distill", "--config", str(file_cfg), "--data", "synthetic",
-                 "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["distill", "--config", str(file_cfg), "--data", "synthetic", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: teacher file") and str(feats) in err
     assert "float64" in err and "float32" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fresh_file_teacher_run_without_maps_leaves_used_out_alone(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert main(["distill", "--config", str(cfg_file), "--data", "synthetic",
+                 "--out", str(out)]) == 0
+    before = [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")]
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    file_cfg = tmp_path / "file.cfg"
+    file_cfg.write_text(TINY_CONFIG + f"teacher_source=file:{empty}\n")
+    code = main(["distill", "--config", str(file_cfg), "--data", "synthetic", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "missing teacher feature file" in err and "Traceback" not in err
+    assert [(out / name).read_bytes() for name in ("config.resolved", "metrics.tsv")] == before
 
 
 def test_extract_empty_dir_exit_3(tmp_path, cfg_file):
@@ -685,6 +705,18 @@ def test_bench_table_contract(tmp_path, cfg_file, capsys):
     assert capsys.readouterr().out.startswith("# FLOP convention")
 
 
+def test_bench_params_columns_count_the_run_models(tmp_path, cfg_file):
+    out = tmp_path / "bench"
+    assert main(["bench", "--config", str(cfg_file), "--sizes", "16,32",
+                 "--out", str(out), "--max-time-tokens", "0"]) == 0
+    rows = [line.split("\t") for line in (out / "cost.tsv").read_text().splitlines()[2:]]
+    cfg = RunConfig.from_file(cfg_file)
+    run = init_run(cfg.vit, cfg.adapter, cfg.distill)
+    counts = [str(sum(t.size for _, t in model.items())) for model in (run.backbone, run.student)]
+    assert counts == ["4480", "6652"]
+    assert [row[6:8] for row in rows] == [counts] * 2
+
+
 def test_bench_measures_peaks_near_tracemalloc_up_to_max_time_tokens(tmp_path, cfg_file):
     out = tmp_path / "bench"
     assert main(["bench", "--config", str(cfg_file), "--sizes", "16,32",
@@ -774,3 +806,20 @@ def test_only_the_errors_module_defines_exception_classes():
                     for base in node.bases):
                 defined.append(f"{path.name}: {node.name}")
     assert defined == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every module imports only the standard library, numpy and brixel itself
+    allowed = set(sys.stdlib_module_names) | {"numpy", "brixel"}
+    imported = []
+    for path in sorted(Path(brixel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [f"{path.name}: {name}" for name in names
+                         if name.split(".")[0] not in allowed]
+    assert imported == []

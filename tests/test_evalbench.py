@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brixel import autodiff as ad
-from brixel import evalbench
 from brixel.evalbench import (
     attention_scores_macs,
     cost_svg,
@@ -204,23 +203,6 @@ def test_flop_model_student_runs_on_the_configured_factor():
     assert half.macs_student_backbone == flop_model(VIT, ADA, 512).macs_student_backbone
 
 
-def test_flop_model_builds_each_model_once_per_config_pair(monkeypatch):
-    built = []
-
-    def counted(build):
-        def wrapper(*args, **kwargs):
-            built.append(build.__name__)
-            return build(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(evalbench, "init_backbone", counted(evalbench.init_backbone))
-    monkeypatch.setattr(evalbench, "init_student", counted(evalbench.init_student))
-    evalbench._param_counts.cache_clear()
-    for grid in (16, 32, 64, 128):
-        flop_model(VIT, ADA, grid * VIT.patch_size)
-    assert sorted(built) == ["init_backbone", "init_student"]
-
-
 def test_flop_model_rejects_bad_size():
     with pytest.raises(ValueError):
         flop_model(VIT, ADA, 100)
@@ -228,10 +210,11 @@ def test_flop_model_rejects_bad_size():
 
 def test_cost_table_and_svg():
     reports = [flop_model(VIT, ADA, g * 8) for g in (16, 32, 64)]
-    table = cost_table(reports, {16: ((287569, 0.1), (101285, 0.02))})
+    table = cost_table(reports, (39840, 543344), {16: ((287569, 0.1), (101285, 0.02))})
     lines = table.strip().splitlines()
     assert lines[0].startswith("# FLOP convention")
     assert len(lines) == 2 + 3  # note + header + one row per size
+    assert [line.split("\t")[6:8] for line in lines[2:]] == [["39840", "543344"]] * 3
     svg = cost_svg(reports)
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
@@ -262,6 +245,13 @@ def test_miou_matches_loop_oracle_on_random_grids():
         ref = loop_miou_pixacc(pred, truth, classes)
         assert mine[0] == pytest.approx(ref[0], abs=1e-9)
         assert mine[1] == pytest.approx(ref[1], abs=1e-9)
+
+
+def test_miou_rejects_labels_outside_the_classes():
+    ok = np.array([[0, 1]])
+    for pred, truth in ((np.array([[2, 1]]), ok), (ok, np.array([[0, -1]]))):
+        with pytest.raises(ValueError):
+            miou_pixacc([pred], [truth], classes=2)
 
 
 def test_probe_learns_linearly_separable_tokens():
